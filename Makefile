@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint bench bench-baseline bench-parallel benchstat soak experiments cover cover-gate smoke serve fleet verify verify-quick verify-baseline clean
+.PHONY: all build test vet fmt lint bench bench-baseline benchstat soak experiments cover cover-gate smoke serve fleet verify verify-quick verify-baseline clean
 
 # Benchmarks the comparison targets track: the simulator serve paths and
 # the batch harness, plus the root throughput benches.
@@ -48,12 +48,6 @@ bench-baseline:
 benchstat:
 	$(GO) test -run XXX -bench '$(BENCH_PATTERN)' -benchmem -count $(BENCH_COUNT) $(BENCH_PKGS) | tee bench_new.txt
 	./scripts/bench_compare.sh bench_old.txt bench_new.txt
-
-# Sequential vs speculative engine on the sim serve benchmarks
-# (benchstat when installed; PAR_WORKERS picks the engine column).
-PAR_WORKERS ?= 4
-bench-parallel:
-	./scripts/bench_parallel.sh $(PAR_WORKERS)
 
 soak:
 	$(GO) test -run Soak -v .

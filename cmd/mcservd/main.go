@@ -46,7 +46,6 @@ func main() {
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job execution budget (0 = 60s)")
 		maxRequests  = flag.Int("max-requests", 0, "per-job total request budget (0 = 8M)")
 		maxBody      = flag.Int64("max-body", 0, "request body limit in bytes (0 = 64MiB)")
-		jobParallel  = flag.Int("job-parallel", 0, "intra-job speculation workers when the queue is idle (0 = off)")
 		workerID     = flag.String("worker-id", "", "Fleet-Worker-ID echoed on every response (default: the bound address)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget for in-flight jobs")
 	)
@@ -68,7 +67,6 @@ func main() {
 		JobTimeout:   *jobTimeout,
 		MaxRequests:  *maxRequests,
 		MaxBody:      *maxBody,
-		JobParallel:  *jobParallel,
 		WorkerID:     *workerID,
 	})
 	if *addrFile != "" {

@@ -62,7 +62,6 @@ func main() {
 		perCore   = flag.Bool("per-core", false, "print per-core breakdown")
 		events    = flag.String("events", "", "write a CSV of every service event to this file (single-strategy runs)")
 		addrShift = flag.Int("addr-shift", -1, "treat the input as a raw address trace ('<core> <addr>' lines) with this page shift (e.g. 12); -1 = normal trace format")
-		parallel  = flag.Int("parallel", 0, "intra-run speculation workers (0 = sequential engine; falls back automatically when the trace is ineligible)")
 		telem     = flag.Bool("telemetry", false, "collect windowed per-core telemetry and export it under -telemetry-dir")
 		telemDir  = flag.String("telemetry-dir", "telemetry", "telemetry export directory (per-strategy subdirectories with -all)")
 		telemWin  = flag.Int64("telemetry-window", 0, "telemetry window width in time steps (0 = default)")
@@ -180,7 +179,7 @@ func main() {
 			}
 			obs = sim.MultiObserver(obs, sess.Observer())
 		}
-		res, err := sim.RunParallel(in, st, obs, *parallel)
+		res, err := sim.Run(in, st, obs)
 		if err != nil {
 			if sess != nil {
 				sess.Abort()

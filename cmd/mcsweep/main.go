@@ -42,7 +42,6 @@ func main() {
 		capList    = flag.String("capacity", "", "semicolon-separated K(t) schedule specs (grid dimension; empty = fixed capacity)")
 		seed       = flag.Int64("seed", 1, "seed for RAND policies")
 		workers    = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		parallel   = flag.Int("parallel", 0, "intra-run speculation workers per grid point (0 = sequential engine)")
 		csv        = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 		heatmap    = flag.String("heatmap", "", "render a K×τ heatmap for this strategy spec instead of the flat table")
 		metric     = flag.String("metric", "faults", "heatmap metric: faults|rate|jain|makespan")
@@ -105,7 +104,6 @@ func main() {
 		Specs:      splitNonEmpty(*specList),
 		Seed:       *seed,
 		Workers:    *workers,
-		Parallel:   *parallel,
 	}
 	if *telem {
 		pages := len(rs.Universe())

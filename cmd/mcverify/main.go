@@ -42,7 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	out := fs.String("o", "", "write the JSONL verdict report to this file")
 	baselinePath := fs.String("baseline", "verify/baseline.json", "verdict baseline to gate against (empty to skip)")
 	updateBaseline := fs.Bool("update-baseline", false, "run quick and full modes and rewrite the baseline")
-	parallel := fs.Int("parallel", 0, "speculative-engine workers per run (0 = sequential)")
 	workers := fs.Int("workers", 4, "claims proved concurrently")
 	claimFilter := fs.String("claims", "", "only prove claims whose name contains this substring")
 	listFamilies := fs.Bool("list-families", false, "list the workload families and exit")
@@ -89,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts := verify.Options{
 		Quick:       *quick,
 		SampleScale: *scale,
-		Parallel:    *parallel,
 		Workers:     *workers,
 		Progress:    progress,
 	}

@@ -211,11 +211,12 @@ func (d *Dispatcher) roundDelay(round int) time.Duration {
 
 // Sweep fans req's grid across the fleet and streams one SweepLine per
 // cell to w as JSONL in canonical grid order (K-major, then τ, then
-// spec — sweep.Cells order, byte-compatible with mcservd's own
-// /v1/sweep stream). Cells are submitted in grid order under the
-// fleet-wide inflight bound (blocking enqueue); results arriving out
-// of order are re-merged by the emit loop, which waits on each cell in
-// turn. Returns the cell count on success for admission accounting.
+// capacity, then spec — sweep.Cells order, byte-compatible with
+// mcservd's own /v1/sweep stream). Cells are submitted in grid order
+// under the fleet-wide inflight bound (blocking enqueue); results
+// arriving out of order are re-merged by the emit loop, which waits on
+// each cell in turn. Returns the cell count on success for admission
+// accounting.
 func (d *Dispatcher) Sweep(ctx context.Context, req server.SweepRequest, w io.Writer) error {
 	rs, grid, err := d.ResolveGrid(req)
 	if err != nil {

@@ -202,28 +202,47 @@ func TestFleetSweepCacheAffinity(t *testing.T) {
 
 // TestFleetFailoverOnDeadWorker routes a sweep through a fleet whose
 // ring includes a dead member: every cell must still complete exactly
-// once, in canonical order, via ring successors.
+// once, in canonical order, via ring successors. Member IDs are URLs,
+// so the dead member's ring position follows its random port; the
+// test redraws the dead address until it owns at least one cell, or
+// the failover it asserts on would never be exercised.
 func TestFleetFailoverOnDeadWorker(t *testing.T) {
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close() // connection refused from the first dial
-
-	urls := []string{newWorker(t, "w1").URL, newWorker(t, "w2").URL, deadURL}
-	f := newTestFleet(t, urls, DispatcherConfig{}, GatewayConfig{QuotaRate: -1})
-
 	req := fleetSweepRequest()
-	resp := postJSON(t, f.ts.URL+"/v1/sweep", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep status %d", resp.StatusCode)
-	}
-	body := readBody(t, resp)
-
 	rs, err := req.Trace.Resolve(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	grid := sweep.Grid{R: rs, Ks: req.Ks, Taus: req.Taus, Specs: req.Strategies, Seed: req.Seed}
 	cells := grid.Cells()
+	keys := make([]string, len(cells))
+	for i, c := range cells {
+		keys[i] = server.JobKey(rs, c.Spec, core.Params{K: c.K, Tau: c.Tau}, req.Seed)
+	}
+
+	w1, w2 := newWorker(t, "w1").URL, newWorker(t, "w2").URL
+	const maxDraws = 32
+	var f *testFleet
+	for draw := 0; f == nil; draw++ {
+		if draw == maxDraws {
+			t.Fatalf("no dead address owned a cell in %d draws", maxDraws)
+		}
+		dead := httptest.NewServer(http.NotFoundHandler())
+		deadURL := dead.URL
+		dead.Close() // connection refused from the first dial
+		cand := newTestFleet(t, []string{w1, w2, deadURL}, DispatcherConfig{}, GatewayConfig{QuotaRate: -1})
+		for _, k := range keys {
+			if cand.reg.Ring().Lookup(k) == deadURL {
+				f = cand
+				break
+			}
+		}
+	}
+
+	resp := postJSON(t, f.ts.URL+"/v1/sweep", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d", resp.StatusCode)
+	}
+	body := readBody(t, resp)
 
 	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
 	if len(lines) != len(cells) {

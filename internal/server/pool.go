@@ -105,12 +105,6 @@ func (s *Server) execute(rn **sim.Runner, j *job) outcome {
 		return outcome{err: errBuild{err}}
 	}
 	defer (*rn).Release()
-	if s.cfg.JobParallel > 0 && len(s.jobs) == 0 {
-		// Queue idle: this job has the machine to itself, so intra-job
-		// speculation is free concurrency. With jobs waiting, job-level
-		// parallelism across the pool is the better use of the cores.
-		(*rn).SetParallel(s.cfg.JobParallel)
-	}
 	col := telemetry.New(telemetry.Config{Cores: j.rs.NumCores(), Params: j.params})
 	res, err := (*rn).RunContext(ctx, j.params, st, col.Observe)
 	if err != nil {

@@ -55,12 +55,6 @@ type Config struct {
 	MaxBody int64
 	// RetryAfter is the Retry-After hint on 429 responses (0 = 1s).
 	RetryAfter time.Duration
-	// JobParallel enables intra-job speculation with that many scan
-	// workers when the queue is otherwise idle (0 = off). Under load
-	// the pool already keeps every core busy with whole jobs, so
-	// intra-job parallelism only engages when a job would run alone;
-	// results are byte-identical either way.
-	JobParallel int
 	// WorkerID, when non-empty, is echoed on every response as the
 	// Fleet-Worker-ID header. mcfleet uses it to confirm which fleet
 	// member answered a routed job (cache-affinity accounting).

@@ -582,40 +582,6 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestJobParallelMatchesSequential serves the same disjoint, large job
-// from a sequential-engine server and a JobParallel one and requires
-// byte-identical result payloads — the service-level face of the
-// parallel engine's determinism guarantee.
-func TestJobParallelMatchesSequential(t *testing.T) {
-	tr := make([]core.Sequence, 2)
-	for c := range tr {
-		seq := make(core.Sequence, 1500)
-		for i := range seq {
-			seq[i] = core.PageID(c*64 + (i*13)%48)
-		}
-		tr[c] = seq
-	}
-	req := JobRequest{
-		Trace:    TraceInput{Inline: tr},
-		Strategy: "S(LRU)",
-		K:        24,
-		Tau:      3,
-		Seed:     1,
-	}
-	_, seqTS := newTestServer(t, Config{Workers: 1, CacheEntries: -1})
-	_, parTS := newTestServer(t, Config{Workers: 1, CacheEntries: -1, JobParallel: 4})
-	respSeq := postJSON(t, seqTS.URL+"/v1/jobs", req)
-	respPar := postJSON(t, parTS.URL+"/v1/jobs", req)
-	if respSeq.StatusCode != http.StatusOK || respPar.StatusCode != http.StatusOK {
-		t.Fatalf("status %d / %d", respSeq.StatusCode, respPar.StatusCode)
-	}
-	_, rawSeq := decodeJob(t, respSeq)
-	_, rawPar := decodeJob(t, respPar)
-	if !bytes.Equal(rawSeq, rawPar) {
-		t.Fatalf("parallel job diverges from sequential:\n seq %s\n par %s", rawSeq, rawPar)
-	}
-}
-
 // TestDrainingResponsesCarryRetryAfter pins the uniform backoff
 // contract: both the 429 queue-full path and every 503 draining path
 // (job submission and /readyz) carry a Retry-After hint, so a fleet

@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"testing"
 
@@ -23,11 +22,7 @@ type benchShape struct {
 
 // benchShapes builds workloads engineered so one serve path dominates
 // (hit ≈ array lookup + Touch; fault ≈ eviction + table update; join ≈
-// in-flight check + Touch). The hit and fault shapes use disjoint
-// per-core pools, so they are eligible for the speculative parallel
-// engine; join requires overlapping sequences, which the parallel
-// engine declines — its par variants measure the fallback check, not a
-// parallel run.
+// in-flight check + Touch; scan ≈ memory-bound residency lookups).
 func benchShapes(perCore int) []benchShape {
 	shapes := make([]benchShape, 0, 3)
 
@@ -67,11 +62,9 @@ func benchShapes(perCore int) []benchShape {
 	// 4 cores striding over disjoint 32K-page working sets that all fit
 	// in K: after one warmup pass everything hits, but the 1MB
 	// residency table and the stride defeat the hardware caches, so
-	// sequential serving stalls on memory. This is the shape the
-	// speculative engine targets — the memory-bound residency lookups
-	// spread across lanes while the commit degenerates to counters (run
-	// it with a policy whose Touch is free, e.g. FITF). Six passes make
-	// the faulting warmup pass a small fraction of the run.
+	// serving stalls on memory. FITF's Touch is free, so the residency
+	// lookups dominate. Six passes make the faulting warmup pass a
+	// small fraction of the run.
 	scan := make(core.RequestSet, 4)
 	for c := range scan {
 		seq := make(core.Sequence, 4*perCore)
@@ -91,43 +84,26 @@ func benchShapes(perCore int) []benchShape {
 	return shapes
 }
 
-// benchWorkers is the engine matrix: 0 is the sequential serve loop,
-// the rest are speculative-engine lane counts.
-var benchWorkers = []int{0, 2, 4, 8}
-
-func workersName(w int) string {
-	if w == 0 {
-		return "seq"
-	}
-	return fmt.Sprintf("par%d", w)
-}
-
-// BenchmarkSimServe crosses the three serve paths of the engine with
-// the engine matrix. Each sub-benchmark replays its workload through a
-// reused Runner, so the numbers track the per-request cost of that
-// path with steady-state allocations. Compare engines with
-// scripts/bench_parallel.sh, which renames the seq/parN suffixes into
-// benchstat columns.
+// BenchmarkSimServe runs one sub-benchmark per serve-path shape. Each
+// replays its workload through a reused Runner, so the numbers track
+// the per-request cost of that path with steady-state allocations.
 func BenchmarkSimServe(b *testing.B) {
 	for _, sh := range benchShapes(50000) {
-		for _, w := range benchWorkers {
-			b.Run(sh.name+"/"+workersName(w), func(b *testing.B) {
-				rn, err := sim.NewRunner(sh.rs)
-				if err != nil {
+		b.Run(sh.name, func(b *testing.B) {
+			rn, err := sim.NewRunner(sh.rs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := float64(sh.rs.TotalLen())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := rn.Run(sh.params, sh.strat(), nil); err != nil {
 					b.Fatal(err)
 				}
-				rn.SetParallel(w)
-				n := float64(sh.rs.TotalLen())
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := rn.Run(sh.params, sh.strat(), nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(n*float64(b.N)/b.Elapsed().Seconds(), "req/s")
-			})
-		}
+			}
+			b.ReportMetric(n*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+		})
 	}
 }
 

@@ -37,11 +37,6 @@ type Grid struct {
 	Seed int64
 	// Workers bounds concurrency (0 = GOMAXPROCS).
 	Workers int
-	// Parallel enables intra-run speculation inside each grid point
-	// with that many scan workers (0 = sequential engine). Useful when
-	// the grid has fewer points than cores; points ineligible for the
-	// parallel engine fall back automatically with identical results.
-	Parallel int
 	// PortableOnly restricts Capacities to the portable schedule
 	// families (capacity.ParsePortableSchedule): no family that reads
 	// files local to the validating process. The network-facing callers
@@ -147,9 +142,10 @@ type Point struct {
 	Err               error
 }
 
-// Run executes the grid. Points come back in deterministic order
-// (K-major, then τ, then spec) regardless of scheduling. Per-point
-// simulation errors are recorded on the point, not returned.
+// Run executes the grid. Points come back in the deterministic order of
+// Cells (K-major, then τ, then capacity, then spec) regardless of
+// scheduling. Per-point simulation errors are recorded on the point,
+// not returned.
 //
 // Every worker owns one sim.Runner bound to the shared workload, so the
 // per-point cost is one engine reset plus the simulation itself: the
@@ -179,9 +175,6 @@ func Run(g Grid) ([]Point, error) {
 		go func() {
 			defer wg.Done()
 			rn, err := sim.NewRunner(g.R)
-			if err == nil {
-				rn.SetParallel(g.Parallel)
-			}
 			for i := range jobs {
 				pt := &points[i]
 				if err != nil {

@@ -222,44 +222,9 @@ func TestSweepObserveDoneError(t *testing.T) {
 	}
 }
 
-// TestSweepParallelEngineMatches runs the same grid with and without
-// intra-run speculation over a workload large and disjoint enough for
-// the parallel engine to engage, and requires identical points.
-func TestSweepParallelEngineMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	rs := make(core.RequestSet, 3)
-	for j := range rs {
-		s := make(core.Sequence, 1200)
-		for i := range s {
-			s[i] = core.PageID(100*j + rng.Intn(24))
-		}
-		rs[j] = s
-	}
-	base := sweep.Grid{
-		R:     rs,
-		Ks:    []int{8, 16},
-		Taus:  []int{0, 3},
-		Specs: []string{"S(LRU)", "S(FIFO)", "sP[even](LRU)"},
-		Seed:  2,
-	}
-	seq, par := base, base
-	par.Parallel = 4
-	a, err := sweep.Run(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sweep.Run(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("sweep results depend on intra-run parallelism")
-	}
-}
-
 // TestCellsCanonicalOrder pins the shared definition of grid order:
-// K-major, then τ, then spec — and that sweep.Run returns points in exactly
-// that order.
+// K-major, then τ, then capacity, then spec — and that sweep.Run returns
+// points in exactly that order.
 func TestCellsCanonicalOrder(t *testing.T) {
 	g := sweep.Grid{
 		R:     core.RequestSet{{1, 2, 1}, {5, 6, 5}},

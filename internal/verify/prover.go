@@ -43,10 +43,6 @@ type Options struct {
 	// SampleScale multiplies sample counts after the Quick selection
 	// (nightly runs use > 1; 0 means 1).
 	SampleScale float64
-	// Parallel sets the speculative-engine worker ceiling on each
-	// runner (sim.Runner.SetParallel); 0 keeps the sequential engine.
-	// Results are identical either way.
-	Parallel int
 	// Workers proves that many claims concurrently (0 or 1 = serial).
 	// Verdict order and content are unaffected: each claim's sampling
 	// is self-contained and seeded.
@@ -131,7 +127,6 @@ func (p *Prover) Prove(c Claim) (Verdict, error) {
 		if err != nil {
 			return Verdict{}, fmt.Errorf("verify: claim %s sample %d: %w", c.Name, i, err)
 		}
-		runner.SetParallel(p.opts.Parallel)
 		stratSeed := sim.DeriveSeed(c.Seed, streamStrategy, int64(i))
 		effect, err := p.evalSample(&c, rs, runner, baseParams, chalParams, stratSeed)
 		if err != nil {
