@@ -163,6 +163,41 @@ func TestPartitionedSurrenderOneSkipsPinnedParts(t *testing.T) {
 	}
 }
 
+// TestStaticReclaimsOwedCellAfterShrink pins the under-quota rule: a
+// shrink's shed stops once the cache fits K(t), which can leave one part
+// above its rescaled quota while another (here an empty part, whose core
+// only ever hit pages owned by others) sits below it with no free cell.
+// That core's fault must take a cell from the most over-quota part
+// rather than fail.
+func TestStaticReclaimsOwedCellAfterShrink(t *testing.T) {
+	s := NewStatic([]int{2, 2, 2}, func() cache.Policy { return cache.NewLRU() })
+	in := core.Instance{R: core.RequestSet{{1}, {1}, {1}}, P: core.Params{K: 6}}
+	if err := s.Init(in); err != nil {
+		t.Fatal(err)
+	}
+	v := &fakeView{resident: map[core.PageID]bool{}, free: 6, k: 6}
+	fillParts(t, s, v, [][]core.PageID{{1, 2}, {3, 4}})
+
+	// Shrink to 3: quota {1,1,1}. One shed brings the cache to K(t) = 3
+	// and the engine stops there, with part 1 still over quota.
+	s.OnCapacity(3, 10)
+	w, ok := s.SurrenderOne(v)
+	if !ok || w != 1 {
+		t.Fatalf("shed = %d,%v; want part 0's page 1", w, ok)
+	}
+	v.resident[w] = false
+	v.free, v.k = 0, 3
+
+	if got := s.OnFault(9, acc(2, 20), v); got != 3 {
+		t.Fatalf("owed fault evicted %d, want part 1's LRU page 3", got)
+	}
+	for j, want := range []int{1, 1, 1} {
+		if s.occ[j] != want {
+			t.Fatalf("occ = %v after reclaim, want [1 1 1]", s.occ)
+		}
+	}
+}
+
 // TestFairControllerCapacityKeepsActiveSeats pins the FairShare rule
 // under K(t): rescaling the quota never drops an active core to zero
 // cells, even when the proportional share rounds to nothing.

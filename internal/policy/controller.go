@@ -60,6 +60,8 @@ type Controller interface {
 	// page, the strategy should fall back to stealing a cell from the
 	// most over-quota part (the quota-partition rule of FairShare and
 	// UCP, which can find their own part empty right after a quota cut).
+	// A core below its quota steals regardless: after a capacity shrink
+	// it is owed a cell that another part still holds.
 	StealOnEmpty() bool
 	// Tick advances the controller to time t and reports whether the
 	// quota vector changed (the strategy then re-announces part sizes to

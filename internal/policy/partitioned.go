@@ -178,7 +178,11 @@ func (s *Partitioned) OnFault(p core.PageID, at cache.Access, v sim.View) core.P
 			w, ok = s.parts[d].Evict(s.vf.resident)
 		}
 		if !ok {
-			if d != j || !s.ctrl.StealOnEmpty() {
+			// A part below its quota with no free cell is owed one: under
+			// K(t), a shrink's shed stops once used <= K, and can leave
+			// another part holding cells past its rescaled quota.
+			owed := s.quota != nil && s.occ[j] < s.quota[j]
+			if d != j || !(s.ctrl.StealOnEmpty() || owed) {
 				return core.NoPage
 			}
 			// Own part empty or wholly in flight (possible right after a
