@@ -12,7 +12,7 @@
 // clients switch between one worker and a fleet by changing the URL):
 //
 //	POST /v1/jobs     route one job to its ring owner (JSON in, JSON out)
-//	POST /v1/sweep    fan a K×τ×strategy grid across the fleet (JSONL out,
+//	POST /v1/sweep    fan a K×τ×capacity×strategy grid across the fleet (JSONL out,
 //	                  canonical grid order, identical to a single node)
 //	GET  /v1/workers  fleet membership, health, latency weights
 //	GET  /strategies  strategy catalogue (proxied from a healthy worker)

@@ -11,7 +11,7 @@
 // Endpoints:
 //
 //	POST /v1/jobs     run one simulation job (JSON in, JSON out)
-//	POST /v1/sweep    fan a K×τ×strategy grid across the pool (JSONL out)
+//	POST /v1/sweep    fan a K×τ×capacity×strategy grid across the pool (JSONL out)
 //	GET  /strategies  list every buildable strategy spec
 //	GET  /metrics     Prometheus text: server counters + last-run telemetry
 //	GET  /healthz     liveness

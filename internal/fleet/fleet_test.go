@@ -61,11 +61,14 @@ func fleetTrace() server.TraceInput {
 	}}
 }
 
+// fleetSweepRequest is a 16-cell grid; half its cells are elastic, with
+// K halved at t=4 (K(t) >= 2 cores throughout).
 func fleetSweepRequest() server.SweepRequest {
 	return server.SweepRequest{
 		Trace:      fleetTrace(),
-		Ks:         []int{2, 4},
+		Ks:         []int{4, 8},
 		Taus:       []int{0, 2},
+		Capacities: []string{"", "step(to=50%,at=4)"},
 		Strategies: []string{"S(LRU)", "S(FIFO)"},
 		Seed:       7,
 	}
@@ -124,8 +127,8 @@ func TestFleetSweepMatchesSingleNode(t *testing.T) {
 	if !bytes.Equal(fleetBody, directBody) {
 		t.Fatalf("fleet sweep diverges from single node:\nfleet:\n%s\ndirect:\n%s", fleetBody, directBody)
 	}
-	if f.met.cells.Load() != 8 || f.met.cellErrors.Load() != 0 {
-		t.Fatalf("cells=%d errors=%d, want 8/0", f.met.cells.Load(), f.met.cellErrors.Load())
+	if f.met.cells.Load() != 16 || f.met.cellErrors.Load() != 0 {
+		t.Fatalf("cells=%d errors=%d, want 16/0", f.met.cells.Load(), f.met.cellErrors.Load())
 	}
 }
 
@@ -187,8 +190,8 @@ func TestFleetSweepCacheAffinity(t *testing.T) {
 		}
 		secondLines = append(secondLines, l)
 	}
-	if len(firstLines) != 8 || len(secondLines) != 8 {
-		t.Fatalf("got %d + %d lines, want 8 + 8", len(firstLines), len(secondLines))
+	if len(firstLines) != 16 || len(secondLines) != 16 {
+		t.Fatalf("got %d + %d lines, want 16 + 16", len(firstLines), len(secondLines))
 	}
 	for i, l := range secondLines {
 		if !l.Cached {
@@ -197,6 +200,22 @@ func TestFleetSweepCacheAffinity(t *testing.T) {
 		if l.Key != firstLines[i].Key {
 			t.Errorf("cell %d key changed between runs", i)
 		}
+	}
+
+	// A job naming an elastic sweep cell resolves to the same run: same
+	// key, routed to the worker that cached it.
+	cell := firstLines[len(firstLines)-1]
+	if cell.Capacity == "" {
+		t.Fatalf("last line %+v is not an elastic cell", cell)
+	}
+	job := server.JobRequest{Trace: req.Trace, Strategy: cell.Spec, K: cell.K, Tau: cell.Tau,
+		Capacity: cell.Capacity, Seed: req.Seed}
+	var out server.JobResponse
+	if err := json.Unmarshal(readBody(t, postJSON(t, f.ts.URL+"/v1/jobs", job)), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !out.Cached || out.Key != cell.Key {
+		t.Fatalf("elastic job: cached=%v key %s, want the sweep cell's cached entry %s", out.Cached, out.Key, cell.Key)
 	}
 }
 
@@ -208,15 +227,13 @@ func TestFleetSweepCacheAffinity(t *testing.T) {
 // the failover it asserts on would never be exercised.
 func TestFleetFailoverOnDeadWorker(t *testing.T) {
 	req := fleetSweepRequest()
-	rs, err := req.Trace.Resolve(1 << 20)
+	cells, err := req.Resolve(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := sweep.Grid{R: rs, Ks: req.Ks, Taus: req.Taus, Specs: req.Strategies, Seed: req.Seed}
-	cells := grid.Cells()
 	keys := make([]string, len(cells))
 	for i, c := range cells {
-		keys[i] = server.JobKey(rs, c.Spec, core.Params{K: c.K, Tau: c.Tau}, req.Seed)
+		keys[i] = server.JobKey(c.R, c.Spec, c.Params, c.Seed)
 	}
 
 	w1, w2 := newWorker(t, "w1").URL, newWorker(t, "w2").URL
@@ -255,8 +272,8 @@ func TestFleetFailoverOnDeadWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := cells[i]
-		if l.K != c.K || l.Tau != c.Tau || l.Spec != c.Spec {
-			t.Fatalf("line %d is (%d,%d,%s), want canonical (%d,%d,%s)", i, l.K, l.Tau, l.Spec, c.K, c.Tau, c.Spec)
+		if (sweep.Cell{K: l.K, Tau: l.Tau, Capacity: l.Capacity, Spec: l.Spec}) != c.Cell || l.Key != keys[i] {
+			t.Fatalf("line %d is %+v, want canonical %+v keyed %s", i, l, c.Cell, keys[i])
 		}
 		if l.Error != "" || l.Result == nil {
 			t.Fatalf("cell %d failed despite failover: %s", i, l.Error)

@@ -293,12 +293,12 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding sweep: %v", err)
 		return
 	}
-	rs, grid, err := g.disp.ResolveGrid(req)
+	runs, err := req.Resolve(g.disp.cfg.MaxRequests)
 	if err != nil {
-		writeRouteError(w, err, g.retryAfterHint())
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !g.gate(w, r, float64(len(grid.Cells()))) {
+	if !g.gate(w, r, float64(len(runs))) {
 		return
 	}
 	g.inflight.Add(1)
@@ -307,7 +307,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	// Per-cell failures are reported in-line on each cell's JSONL row;
 	// an error here means the stream itself died (client gone).
-	_ = g.disp.sweepResolved(r.Context(), rs, grid, req, w)
+	_ = g.disp.runSweep(r.Context(), runs, req, w)
 }
 
 // writeRouteError maps a dispatcher error onto the gateway's response:

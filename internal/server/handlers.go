@@ -10,10 +10,7 @@ import (
 	"strconv"
 	"time"
 
-	"mcpaging/internal/capacity"
-	"mcpaging/internal/core"
 	"mcpaging/internal/strategyspec"
-	"mcpaging/internal/sweep"
 	"mcpaging/internal/telemetry"
 )
 
@@ -91,31 +88,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding job: %v", err)
 		return
 	}
-	if req.Strategy == "" {
-		httpError(w, http.StatusBadRequest, "strategy is required")
-		return
-	}
-	params := core.Params{K: req.K, Tau: req.Tau}
-	if req.Capacity != "" {
-		// Portable families only: a client-supplied spec must never name
-		// a file on the server.
-		sched, err := capacity.ParsePortableSchedule(req.Capacity, req.K)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		params.Capacity = sched
-	}
-	if err := params.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	rs, err := req.Trace.Resolve(s.cfg.MaxRequests)
+	run, err := req.Resolve(s.cfg.MaxRequests)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key := JobKey(rs, req.Strategy, params, req.Seed)
+	key := JobKey(run.R, run.Spec, run.Params, run.Seed)
 	// Cache lookup with per-key singleflight: concurrent misses on one
 	// key elect a leader that computes; followers wait for the flight
 	// to finish and re-check the cache instead of duplicating the run.
@@ -149,10 +127,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	defer s.cache.leave(key)
 	start := time.Now()
 	j := &job{
-		rs:      rs,
-		spec:    req.Strategy,
-		params:  params,
-		seed:    req.Seed,
+		Job:     run,
 		key:     key,
 		ctx:     r.Context(),
 		timeout: s.jobTimeout(req.TimeoutMS),
@@ -209,9 +184,9 @@ func (s *Server) finishJob(w http.ResponseWriter, key string, start time.Time, o
 	})
 }
 
-// handleSweep serves POST /v1/sweep: the K × τ × strategy grid fans out
-// across the worker pool and results stream back as JSONL in
-// deterministic K-major order (the same order internal/sweep uses).
+// handleSweep serves POST /v1/sweep: the K × τ × capacity × strategy
+// grid fans out across the worker pool and results stream back as JSONL
+// in deterministic K-major order (the same order internal/sweep uses).
 // Cached points stream immediately; misses stream as the pool finishes
 // them. Backpressure is the stream itself: submission into the bounded
 // queue blocks, so a sweep never overruns the pool.
@@ -222,14 +197,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding sweep: %v", err)
 		return
 	}
-	rs, err := req.Trace.Resolve(s.cfg.MaxRequests)
+	runs, err := req.Resolve(s.cfg.MaxRequests)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	grid := sweep.Grid{R: rs, Ks: req.Ks, Taus: req.Taus, Capacities: req.Capacities,
-		Specs: req.Strategies, Seed: req.Seed, PortableOnly: true}
-	if err := grid.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -239,28 +208,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		j    *job
 	}
 	var pts []*point
-	for _, c := range grid.Cells() {
-		pt := &point{line: SweepLine{K: c.K, Tau: c.Tau, Capacity: c.Capacity, Spec: c.Spec}}
-		params := core.Params{K: c.K, Tau: c.Tau}
-		if c.Capacity != "" {
-			// Grid.Validate (PortableOnly) parsed every capacity × K pair
-			// already; re-parse with the same restriction.
-			sched, serr := capacity.ParsePortableSchedule(c.Capacity, c.K)
-			if serr != nil {
-				httpError(w, http.StatusBadRequest, "%v", serr)
-				return
-			}
-			params.Capacity = sched
-		}
-		pt.line.Key = JobKey(rs, c.Spec, params, req.Seed)
+	for _, run := range runs {
+		pt := &point{line: SweepLine{K: run.K, Tau: run.Tau, Capacity: run.Capacity, Spec: run.Spec}}
+		pt.line.Key = JobKey(run.R, run.Spec, run.Params, run.Seed)
 		if v, ok := s.cache.get(pt.line.Key); ok {
 			pt.hit = &v
 		} else {
 			pt.j = &job{
-				rs:      rs,
-				spec:    c.Spec,
-				params:  params,
-				seed:    req.Seed,
+				Job:     run,
 				key:     pt.line.Key,
 				ctx:     r.Context(),
 				timeout: s.cfg.JobTimeout,

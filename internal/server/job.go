@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"errors"
 	"fmt"
+	"io"
 	"time"
 
+	"mcpaging/internal/capacity"
 	"mcpaging/internal/core"
+	"mcpaging/internal/sweep"
 	"mcpaging/internal/trace"
 	"mcpaging/internal/workload"
 )
@@ -66,12 +70,8 @@ func (t TraceInput) Resolve(maxRequests int) (core.RequestSet, error) {
 			return nil, err
 		}
 	default:
-		raw, err := base64.StdEncoding.DecodeString(t.BinaryB64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: binary_b64: %w", err)
-		}
-		rs, err = trace.ReadBinary(bytes.NewReader(raw))
-		if err != nil {
+		var err error
+		if rs, err = decodeBinary(t.BinaryB64, maxRequests); err != nil {
 			return nil, err
 		}
 	}
@@ -82,6 +82,44 @@ func (t TraceInput) Resolve(maxRequests int) (core.RequestSet, error) {
 		return nil, fmt.Errorf("trace: %d requests exceeds the per-job budget of %d", n, maxRequests)
 	}
 	return rs, nil
+}
+
+// decodeBinary decodes a base64 binary trace core by core, charging
+// each core's declared length against the budget before allocating it:
+// a few header bytes must not make the server allocate the 2^28
+// requests a core may claim.
+func decodeBinary(b64 string, maxRequests int) (core.RequestSet, error) {
+	raw, err := base64.StdEncoding.DecodeString(b64)
+	if err != nil {
+		return nil, fmt.Errorf("trace: binary_b64: %w", err)
+	}
+	d, err := trace.NewDecoder(bytes.NewReader(raw))
+	if err != nil {
+		return nil, fmt.Errorf("trace: binary_b64: %w", err)
+	}
+	var rs core.RequestSet
+	total := 0
+	for {
+		n, err := d.NextCore()
+		if err == io.EOF {
+			return rs, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("trace: binary_b64: %w", err)
+		}
+		if total += n; total > maxRequests {
+			return nil, fmt.Errorf("trace: %d requests exceeds the per-job budget of %d", total, maxRequests)
+		}
+		seq := make(core.Sequence, n)
+		for off := 0; off < n; {
+			m, err := d.Read(seq[off:])
+			if err != nil {
+				return nil, fmt.Errorf("trace: binary_b64: %w", err)
+			}
+			off += m
+		}
+		rs = append(rs, seq)
+	}
 }
 
 // JobRequest is the body of POST /v1/jobs.
@@ -101,6 +139,35 @@ type JobRequest struct {
 	// TimeoutMS optionally lowers the server's per-job timeout for this
 	// job. Values at or above the server timeout are ignored.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+}
+
+// Resolve validates the request and resolves it to the one run it
+// names: strategy present, capacity spec, parameters, then the trace
+// under the maxRequests budget. It is the only place mcservd and the
+// mcfleet coordinator parse a job. Only the portable capacity families
+// are accepted: a client-supplied spec must never name a file on the
+// host.
+func (req JobRequest) Resolve(maxRequests int) (sweep.Job, error) {
+	if req.Strategy == "" {
+		return sweep.Job{}, errors.New("strategy is required")
+	}
+	params := core.Params{K: req.K, Tau: req.Tau}
+	if req.Capacity != "" {
+		sched, err := capacity.ParsePortableSchedule(req.Capacity, req.K)
+		if err != nil {
+			return sweep.Job{}, err
+		}
+		params.Capacity = sched
+	}
+	if err := params.Validate(); err != nil {
+		return sweep.Job{}, err
+	}
+	rs, err := req.Trace.Resolve(maxRequests)
+	if err != nil {
+		return sweep.Job{}, err
+	}
+	cell := sweep.Cell{K: req.K, Tau: req.Tau, Capacity: req.Capacity, Spec: req.Strategy}
+	return sweep.Job{Cell: cell, R: rs, Params: params, Seed: req.Seed}, nil
 }
 
 // Result is the JSON shape of one simulation outcome — the unit the
@@ -137,8 +204,8 @@ type JobResponse struct {
 }
 
 // SweepRequest is the body of POST /v1/sweep: one workload, a K × τ ×
-// strategy grid. The response streams one SweepLine per grid point as
-// JSONL, in deterministic K-major order.
+// capacity × strategy grid. The response streams one SweepLine per grid
+// point as JSONL, in deterministic K-major order.
 type SweepRequest struct {
 	Trace TraceInput `json:"trace"`
 	Ks    []int      `json:"ks"`
@@ -149,6 +216,19 @@ type SweepRequest struct {
 	Capacities []string `json:"capacities,omitempty"`
 	Strategies []string `json:"strategies"`
 	Seed       int64    `json:"seed"`
+}
+
+// Resolve validates the request and resolves it to its grid's runs in
+// sweep.Grid.Cells order: the trace under the maxRequests budget, then
+// the grid, portable capacity families only. It is the only place
+// mcservd and the mcfleet coordinator parse a sweep.
+func (req SweepRequest) Resolve(maxRequests int) ([]sweep.Job, error) {
+	rs, err := req.Trace.Resolve(maxRequests)
+	if err != nil {
+		return nil, err
+	}
+	return sweep.Grid{R: rs, Ks: req.Ks, Taus: req.Taus, Capacities: req.Capacities,
+		Specs: req.Strategies, Seed: req.Seed, PortableOnly: true}.Jobs()
 }
 
 // SweepLine is one JSONL line of the sweep stream.
@@ -166,10 +246,7 @@ type SweepLine struct {
 // job is one unit of work on the queue. res is buffered so a worker
 // never blocks on a handler that has already given up on the job.
 type job struct {
-	rs      core.RequestSet
-	spec    string
-	params  core.Params
-	seed    int64
+	sweep.Job
 	key     string
 	ctx     context.Context
 	timeout time.Duration

@@ -92,21 +92,21 @@ func (s *Server) execute(rn **sim.Runner, j *job) outcome {
 		ctx, cancel = context.WithTimeout(ctx, j.timeout)
 		defer cancel()
 	}
-	st, err := strategyspec.Build(j.spec, j.rs, j.params.K, j.seed)
+	st, err := strategyspec.Build(j.Spec, j.R, j.Params.K, j.Seed)
 	if err != nil {
 		return outcome{err: errBuild{err}}
 	}
 	if *rn == nil {
-		*rn, err = sim.NewRunner(j.rs)
+		*rn, err = sim.NewRunner(j.R)
 	} else {
-		err = (*rn).Bind(j.rs)
+		err = (*rn).Bind(j.R)
 	}
 	if err != nil {
 		return outcome{err: errBuild{err}}
 	}
 	defer (*rn).Release()
-	col := telemetry.New(telemetry.Config{Cores: j.rs.NumCores(), Params: j.params})
-	res, err := (*rn).RunContext(ctx, j.params, st, col.Observe)
+	col := telemetry.New(telemetry.Config{Cores: j.R.NumCores(), Params: j.Params})
+	res, err := (*rn).RunContext(ctx, j.Params, st, col.Observe)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.metrics.timeouts.Add(1)
@@ -118,7 +118,7 @@ func (s *Server) execute(rn **sim.Runner, j *job) outcome {
 	s.telemMu.Lock()
 	s.lastTelem = col
 	s.telemMu.Unlock()
-	return outcome{result: resultFrom(st.Name(), j.rs.TotalLen(), res)}
+	return outcome{result: resultFrom(st.Name(), j.R.TotalLen(), res)}
 }
 
 // resultFrom converts a sim.Result into the wire Result.

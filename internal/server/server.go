@@ -6,8 +6,9 @@
 // Architecture, front to back:
 //
 //   - Handlers decode a job (inline request set, workload generator
-//     spec, or binary trace; a strategyspec strategy; K/τ/seed), then
-//     canonicalize it to a content-addressed key (hash.go).
+//     spec, or binary trace; a strategyspec strategy; K/τ/capacity/seed),
+//     resolve it once (JobRequest.Resolve, SweepRequest.Resolve), then
+//     canonicalize the resolved run to a content-addressed key (hash.go).
 //   - The result cache (rescache.go) answers repeat jobs without
 //     touching the pool; eviction order is managed by an internal/cache
 //     LRU policy with a configurable entry budget.

@@ -3,6 +3,8 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -10,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -379,9 +382,11 @@ func TestGracefulDrainFinishesInFlightJobs(t *testing.T) {
 func TestSweepStreamsJSONLInGridOrder(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	req := SweepRequest{
-		Trace:      TraceInput{Inline: testTrace()},
-		Ks:         []int{4, 8},
-		Taus:       []int{0, 2},
+		Trace: TraceInput{Inline: testTrace()},
+		Ks:    []int{4, 8},
+		Taus:  []int{0, 2},
+		// The elastic cells halve K at t=4: K(t) >= 2 cores throughout.
+		Capacities: []string{"", "step(to=50%,at=4)"},
 		Strategies: []string{"S(LRU)", "S(FIFO)"},
 		Seed:       1,
 	}
@@ -406,7 +411,8 @@ func TestSweepStreamsJSONLInGridOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := sweep.Run(sweep.Grid{
-		R: core.RequestSet(testTrace()), Ks: req.Ks, Taus: req.Taus, Specs: req.Strategies, Seed: req.Seed,
+		R: core.RequestSet(testTrace()), Ks: req.Ks, Taus: req.Taus, Capacities: req.Capacities,
+		Specs: req.Strategies, Seed: req.Seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -418,12 +424,26 @@ func TestSweepStreamsJSONLInGridOrder(t *testing.T) {
 		if ln.Error != "" {
 			t.Fatalf("line %d error: %s", i, ln.Error)
 		}
-		if ln.K != want[i].K || ln.Tau != want[i].Tau || ln.Spec != want[i].Spec {
+		if ln.K != want[i].K || ln.Tau != want[i].Tau || ln.Capacity != want[i].Capacity || ln.Spec != want[i].Spec {
 			t.Fatalf("line %d out of grid order: %+v vs %+v", i, ln, want[i])
 		}
-		if ln.Result == nil || ln.Result.TotalFaults != want[i].Faults {
-			t.Fatalf("line %d faults diverge from sweep.Run: %+v vs %+v", i, ln.Result, want[i])
+		if ln.Result == nil || ln.Result.TotalFaults != want[i].Faults ||
+			ln.Result.CapacityEvictions != want[i].CapacityEvictions {
+			t.Fatalf("line %d diverges from sweep.Run: %+v vs %+v", i, ln.Result, want[i])
 		}
+	}
+
+	// A job naming an elastic sweep cell resolves to the same run: same
+	// key, served from the entry the sweep cached.
+	cell := lines[len(lines)-1]
+	if cell.Capacity == "" {
+		t.Fatalf("last line %+v is not an elastic cell", cell)
+	}
+	jreq := JobRequest{Trace: req.Trace, Strategy: cell.Spec, K: cell.K, Tau: cell.Tau,
+		Capacity: cell.Capacity, Seed: req.Seed}
+	jr, _ := decodeJob(t, postJSON(t, ts.URL+"/v1/jobs", jreq))
+	if !jr.Cached || jr.Key != cell.Key {
+		t.Fatalf("elastic job: cached=%v key %s, want the sweep cell's cached entry %s", jr.Cached, jr.Key, cell.Key)
 	}
 
 	// The whole grid is now cached: a re-POST streams only hits.
@@ -545,6 +565,35 @@ func TestJobValidationErrors(t *testing.T) {
 		if resp.StatusCode != tc.code {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.code)
 		}
+	}
+}
+
+// TestBinaryTraceBudgetCheckedWhileDecoding pins that a binary trace is
+// charged against the per-job budget before its sequences are
+// allocated: a header declaring one core of 2^28 requests with no pages
+// behind it must not cost the 1 GiB that sequence would take.
+func TestBinaryTraceBudgetCheckedWhileDecoding(t *testing.T) {
+	b64 := func(cores uint64, length uint64, pages ...int64) TraceInput {
+		raw := append([]byte("MCPT\x01"), binary.AppendUvarint(nil, cores)...)
+		raw = binary.AppendUvarint(raw, length)
+		for _, pg := range pages {
+			raw = binary.AppendVarint(raw, pg)
+		}
+		return TraceInput{BinaryB64: base64.StdEncoding.EncodeToString(raw)}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := b64(1, 1<<28).Resolve(8 << 20)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "exceeds the per-job budget") {
+		t.Fatalf("err = %v, want the per-job budget error", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("rejecting the trace allocated %d bytes, want < 1 MiB", n)
+	}
+	// Within budget, a trace cut short names the field it came from.
+	if _, err := b64(1, 3, 5).Resolve(8 << 20); err == nil || !strings.HasPrefix(err.Error(), "trace: binary_b64: ") {
+		t.Fatalf("truncated trace: err = %v, want a trace: binary_b64: error", err)
 	}
 }
 

@@ -39,9 +39,9 @@ type Grid struct {
 	Workers int
 	// PortableOnly restricts Capacities to the portable schedule
 	// families (capacity.ParsePortableSchedule): no family that reads
-	// files local to the validating process. The network-facing callers
-	// — mcservd's sweep handler, the mcfleet coordinator — set it so a
-	// remote grid can never name a path on the host.
+	// files local to the validating process. server.SweepRequest.Resolve,
+	// which mcservd and the mcfleet coordinator parse every sweep with,
+	// sets it so a remote grid can never name a path on the host.
 	PortableOnly bool
 	// Observe, when non-nil, is called once per grid point — concurrently
 	// from worker goroutines, after the point's strategy is built — and
@@ -52,40 +52,63 @@ type Grid struct {
 	Observe func(pt Point) (obs sim.Observer, done func(sim.Result) error)
 }
 
-// Validate checks the grid is non-empty and structurally sound.
+// Validate checks the grid is non-empty and structurally sound: it
+// reports the error Jobs would.
 func (g Grid) Validate() error {
+	_, err := g.Jobs()
+	return err
+}
+
+// Jobs validates the grid and resolves it to one Job per cell, in Cells
+// order. Each (capacity, K) pair is parsed once, with the parser
+// PortableOnly selects; a parsed schedule is immutable, so every τ,
+// strategy and worker of the pair shares it.
+func (g Grid) Jobs() ([]Job, error) {
 	if err := g.R.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if len(g.Ks) == 0 || len(g.Taus) == 0 || len(g.Specs) == 0 {
-		return fmt.Errorf("sweep: empty grid dimension (K×τ×spec = %d×%d×%d)",
+		return nil, fmt.Errorf("sweep: empty grid dimension (K×τ×spec = %d×%d×%d)",
 			len(g.Ks), len(g.Taus), len(g.Specs))
 	}
 	for _, k := range g.Ks {
 		if k < g.R.NumCores() {
-			return fmt.Errorf("sweep: K=%d below core count %d", k, g.R.NumCores())
+			return nil, fmt.Errorf("sweep: K=%d below core count %d", k, g.R.NumCores())
 		}
 	}
 	for _, tau := range g.Taus {
 		if tau < 0 {
-			return fmt.Errorf("sweep: negative tau %d", tau)
+			return nil, fmt.Errorf("sweep: negative tau %d", tau)
 		}
 	}
 	parse := capacity.ParseSchedule
 	if g.PortableOnly {
 		parse = capacity.ParsePortableSchedule
 	}
+	type pair struct {
+		capacity string
+		k        int
+	}
+	scheds := make(map[pair]core.CapacitySchedule)
 	for _, cap := range g.Capacities {
 		if cap == "" {
 			continue
 		}
 		for _, k := range g.Ks {
-			if _, err := parse(cap, k); err != nil {
-				return fmt.Errorf("sweep: K=%d: %v", k, err)
+			sched, err := parse(cap, k)
+			if err != nil {
+				return nil, fmt.Errorf("sweep: K=%d: %v", k, err)
 			}
+			scheds[pair{cap, k}] = sched
 		}
 	}
-	return nil
+	cells := g.Cells()
+	jobs := make([]Job, len(cells))
+	for i, c := range cells {
+		params := core.Params{K: c.K, Tau: c.Tau, Capacity: scheds[pair{c.Capacity, c.K}]}
+		jobs[i] = Job{Cell: c, R: g.R, Params: params, Seed: g.Seed}
+	}
+	return jobs, nil
 }
 
 // capacities returns the capacity dimension, defaulting to the single
@@ -97,14 +120,23 @@ func (g Grid) capacities() []string {
 	return g.Capacities
 }
 
-// Cell is one grid coordinate. Cells — not Points — are the unit the
-// fleet coordinator routes: a Cell plus the shared workload fully
-// determines one job.
+// Cell is one grid coordinate, as the client named it.
 type Cell struct {
 	K, Tau int
 	// Capacity is the point's K(t) schedule spec; "" = fixed capacity.
 	Capacity string
 	Spec     string
+}
+
+// Job is one resolved run: the Cell as the client named it, the
+// workload, the run parameters (K, τ and the parsed K(t), nil for fixed
+// capacity) and the seed. Every layer past validation keys, routes and
+// simulates a Job, so none parses a capacity spec a second time.
+type Job struct {
+	Cell
+	R      core.RequestSet
+	Params core.Params
+	Seed   int64
 }
 
 // Cells enumerates the grid in canonical order — K-major, then τ, then
@@ -131,6 +163,9 @@ type Point struct {
 	K, Tau   int
 	Capacity string
 	Spec     string
+	// Params are the run parameters the point simulates under: the
+	// cell's Job.Params, K(t) included.
+	Params   core.Params
 	Strategy string
 	Faults   int64
 	Rate     float64
@@ -152,22 +187,22 @@ type Point struct {
 // request set is validated and its occurrence index built once per
 // worker, not once per grid cell.
 func Run(g Grid) ([]Point, error) {
-	if err := g.Validate(); err != nil {
+	jobs, err := g.Jobs()
+	if err != nil {
 		return nil, err
 	}
 	workers := g.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cells := g.Cells()
-	points := make([]Point, len(cells))
-	for i, c := range cells {
-		points[i] = Point{K: c.K, Tau: c.Tau, Capacity: c.Capacity, Spec: c.Spec}
+	points := make([]Point, len(jobs))
+	for i, j := range jobs {
+		points[i] = Point{K: j.K, Tau: j.Tau, Capacity: j.Capacity, Spec: j.Spec, Params: j.Params}
 	}
 	if workers > len(points) {
 		workers = len(points)
 	}
-	jobs := make(chan int)
+	todo := make(chan int)
 	var wg sync.WaitGroup
 	total := float64(g.R.TotalLen())
 	for w := 0; w < workers; w++ {
@@ -175,7 +210,7 @@ func Run(g Grid) ([]Point, error) {
 		go func() {
 			defer wg.Done()
 			rn, err := sim.NewRunner(g.R)
-			for i := range jobs {
+			for i := range todo {
 				pt := &points[i]
 				if err != nil {
 					pt.Err = err
@@ -187,21 +222,12 @@ func Run(g Grid) ([]Point, error) {
 					continue
 				}
 				pt.Strategy = st.Name()
-				params := core.Params{K: pt.K, Tau: pt.Tau}
-				if pt.Capacity != "" {
-					sched, serr := capacity.ParseSchedule(pt.Capacity, pt.K)
-					if serr != nil {
-						pt.Err = serr
-						continue
-					}
-					params.Capacity = sched
-				}
 				var obs sim.Observer
 				var done func(sim.Result) error
 				if g.Observe != nil {
 					obs, done = g.Observe(*pt)
 				}
-				res, rerr := rn.Run(params, st, obs)
+				res, rerr := rn.Run(pt.Params, st, obs)
 				if rerr != nil {
 					pt.Err = rerr
 					continue
@@ -220,9 +246,9 @@ func Run(g Grid) ([]Point, error) {
 		}()
 	}
 	for i := range points {
-		jobs <- i
+		todo <- i
 	}
-	close(jobs)
+	close(todo)
 	wg.Wait()
 	return points, nil
 }

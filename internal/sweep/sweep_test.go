@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -66,11 +68,13 @@ func TestSweepGrid(t *testing.T) {
 
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	base := sweep.Grid{
-		R:     workload(),
-		Ks:    []int{6, 9},
-		Taus:  []int{1},
-		Specs: []string{"S(LRU)", "S(FIFO)", "S(ARC)", "dP[ucp](LRU)"},
-		Seed:  3,
+		R:    workload(),
+		Ks:   []int{6, 9},
+		Taus: []int{1},
+		// Elastic points share one parsed schedule per K across workers.
+		Capacities: []string{"", "step(to=50%,at=100)"},
+		Specs:      []string{"S(LRU)", "S(FIFO)", "S(ARC)", "dP[ucp](LRU)"},
+		Seed:       3,
 	}
 	g1, g2 := base, base
 	g1.Workers = 1
@@ -82,6 +86,11 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	b, err := sweep.Run(g2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range a {
+		if p.Err != nil {
+			t.Fatalf("point %s K=%d %q: %v", p.Spec, p.K, p.Capacity, p.Err)
+		}
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("sweep results depend on worker count")
@@ -219,6 +228,50 @@ func TestSweepObserveDoneError(t *testing.T) {
 	}
 	if pts[0].Err == nil || pts[0].Err.Error() != "export failed" {
 		t.Fatalf("done error not recorded on point: %v", pts[0].Err)
+	}
+}
+
+// TestSweepPointsShareValidatedSchedule pins that a grid point runs
+// under the K(t) the grid was validated with: the Observe hook rewrites
+// the schedule file once the first point is under way, and the second,
+// identical point must still run the schedule the first one ran.
+func TestSweepPointsShareValidatedSchedule(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "capacity.txt")
+	if err := os.WriteFile(path, []byte("0 12\n50 4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	g := sweep.Grid{
+		R:          workload(),
+		Ks:         []int{12},
+		Taus:       []int{0},
+		Capacities: []string{"trace(path=" + path + ")"},
+		Specs:      []string{"S(LRU)", "S(LRU)"},
+		Workers:    1,
+		Observe: func(sweep.Point) (sim.Observer, func(sim.Result) error) {
+			once.Do(func() {
+				if err := os.WriteFile(path, []byte("0 12\n"), 0o644); err != nil {
+					t.Error(err)
+				}
+			})
+			return nil, nil
+		},
+	}
+	pts, err := sweep.Run(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		if p.Err != nil {
+			t.Fatalf("point %s: %v", p.Spec, p.Err)
+		}
+	}
+	if pts[0].CapacityEvictions == 0 {
+		t.Fatal("the validated schedule never shrank: the test exercises nothing")
+	}
+	if pts[0].Faults != pts[1].Faults || pts[0].CapacityEvictions != pts[1].CapacityEvictions {
+		t.Fatalf("identical points diverged: faults %d vs %d, capacity evictions %d vs %d",
+			pts[0].Faults, pts[1].Faults, pts[0].CapacityEvictions, pts[1].CapacityEvictions)
 	}
 }
 

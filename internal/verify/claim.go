@@ -184,77 +184,87 @@ func (c *Claim) quickSamples() int {
 // Validate checks the claim, including that the family spec parses and
 // the strategy specs build.
 func (c *Claim) Validate() error {
+	_, _, err := c.resolve()
+	return err
+}
+
+// resolve is Validate returning what it resolved: the run parameters of
+// both sides. The baseline runs at K, the challenger at challenger_k
+// when set (resource augmentation); the capacity schedule, when
+// present, resolves against each side's own base.
+func (c *Claim) resolve() (base, chal core.Params, err error) {
 	if c.Name == "" {
-		return fmt.Errorf("verify: claim without a name")
+		return base, chal, fmt.Errorf("verify: claim without a name")
 	}
 	if c.Samples < 1 {
-		return fmt.Errorf("verify: claim %s: samples = %d, want >= 1", c.Name, c.Samples)
+		return base, chal, fmt.Errorf("verify: claim %s: samples = %d, want >= 1", c.Name, c.Samples)
 	}
 	if c.QuickSamples < 0 || c.QuickSamples > c.Samples {
-		return fmt.Errorf("verify: claim %s: quick_samples %d outside [0, %d]", c.Name, c.QuickSamples, c.Samples)
+		return base, chal, fmt.Errorf("verify: claim %s: quick_samples %d outside [0, %d]", c.Name, c.QuickSamples, c.Samples)
 	}
-	if _, err := c.sideParams(c.K); err != nil {
-		return fmt.Errorf("verify: claim %s: %w", c.Name, err)
+	if base, err = c.sideParams(c.K); err != nil {
+		return base, chal, fmt.Errorf("verify: claim %s: %w", c.Name, err)
 	}
 	if c.ChallengerK < 0 {
-		return fmt.Errorf("verify: claim %s: challenger_k = %d, want >= 0", c.Name, c.ChallengerK)
+		return base, chal, fmt.Errorf("verify: claim %s: challenger_k = %d, want >= 0", c.Name, c.ChallengerK)
 	}
+	chal = base
 	if c.ChallengerK > 0 {
-		if _, err := c.sideParams(c.ChallengerK); err != nil {
-			return fmt.Errorf("verify: claim %s: challenger_k: %w", c.Name, err)
+		if chal, err = c.sideParams(c.ChallengerK); err != nil {
+			return base, chal, fmt.Errorf("verify: claim %s: challenger_k: %w", c.Name, err)
 		}
 	}
 	switch c.Relation {
 	case "<=", ">=":
 	default:
-		return fmt.Errorf("verify: claim %s: relation %q, want \"<=\" or \">=\"", c.Name, c.Relation)
+		return base, chal, fmt.Errorf("verify: claim %s: relation %q, want \"<=\" or \">=\"", c.Name, c.Relation)
 	}
 	switch c.mode() {
 	case Universal, Statistical:
 	default:
-		return fmt.Errorf("verify: claim %s: unknown mode %q", c.Name, c.Mode)
+		return base, chal, fmt.Errorf("verify: claim %s: unknown mode %q", c.Name, c.Mode)
 	}
 	fam, err := workload.ParseFamily(c.Family)
 	if err != nil {
-		return fmt.Errorf("verify: claim %s: %w", c.Name, err)
+		return base, chal, fmt.Errorf("verify: claim %s: %w", c.Name, err)
 	}
 	// Build both strategies against a probe sample so bad specs fail at
 	// manifest load, not mid-proof.
 	probe, err := fam.Sample(0)
 	if err != nil {
-		return fmt.Errorf("verify: claim %s: %w", c.Name, err)
+		return base, chal, fmt.Errorf("verify: claim %s: %w", c.Name, err)
 	}
 	if _, err := strategyspec.Build(c.Baseline, probe, c.K, 0); err != nil {
-		return fmt.Errorf("verify: claim %s: baseline: %w", c.Name, err)
+		return base, chal, fmt.Errorf("verify: claim %s: baseline: %w", c.Name, err)
 	}
 	switch c.metric() {
 	case MetricFaults, MetricMakespan, MetricJain:
 		if c.Challenger == "" {
-			return fmt.Errorf("verify: claim %s: metric %s needs a challenger", c.Name, c.metric())
+			return base, chal, fmt.Errorf("verify: claim %s: metric %s needs a challenger", c.Name, c.metric())
 		}
 		if _, err := strategyspec.Build(c.Challenger, probe, c.challengerK(), 0); err != nil {
-			return fmt.Errorf("verify: claim %s: challenger: %w", c.Name, err)
+			return base, chal, fmt.Errorf("verify: claim %s: challenger: %w", c.Name, err)
 		}
 	case MetricOptRatio:
 		if c.Challenger != "" {
-			return fmt.Errorf("verify: claim %s: opt-ratio compares against bound, not a challenger", c.Name)
+			return base, chal, fmt.Errorf("verify: claim %s: opt-ratio compares against bound, not a challenger", c.Name)
 		}
 		if c.Capacity != "" {
-			return fmt.Errorf("verify: claim %s: opt-ratio is fixed-capacity (the offline solver has no K(t))", c.Name)
+			return base, chal, fmt.Errorf("verify: claim %s: opt-ratio is fixed-capacity (the offline solver has no K(t))", c.Name)
 		}
 		if c.ChallengerK > 0 {
-			return fmt.Errorf("verify: claim %s: opt-ratio has no challenger to augment", c.Name)
+			return base, chal, fmt.Errorf("verify: claim %s: opt-ratio has no challenger to augment", c.Name)
 		}
 		if c.Bound <= 0 {
-			return fmt.Errorf("verify: claim %s: opt-ratio needs bound > 0", c.Name)
+			return base, chal, fmt.Errorf("verify: claim %s: opt-ratio needs bound > 0", c.Name)
 		}
 		if c.Relation != "<=" {
-			return fmt.Errorf("verify: claim %s: opt-ratio supports only relation \"<=\"", c.Name)
+			return base, chal, fmt.Errorf("verify: claim %s: opt-ratio supports only relation \"<=\"", c.Name)
 		}
 	default:
-		return fmt.Errorf("verify: claim %s: unknown metric %q", c.Name, c.Metric)
+		return base, chal, fmt.Errorf("verify: claim %s: unknown metric %q", c.Name, c.Metric)
 	}
-	return nil
+	return base, chal, nil
 }
 
 // Manifest is a committed list of claims (verify/claims.json).

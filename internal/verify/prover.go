@@ -76,7 +76,8 @@ func (p *Prover) samplesFor(c *Claim) int {
 
 // Prove samples one claim and renders its verdict.
 func (p *Prover) Prove(c Claim) (Verdict, error) {
-	if err := c.Validate(); err != nil {
+	baseParams, chalParams, err := c.resolve()
+	if err != nil {
 		return Verdict{}, err
 	}
 	fam, err := workload.ParseFamily(c.Family)
@@ -96,20 +97,6 @@ func (p *Prover) Prove(c Claim) (Verdict, error) {
 		Samples:     n,
 		Capacity:    c.Capacity,
 		ChallengerK: c.ChallengerK,
-	}
-	// Each side runs at its own base capacity: the baseline at K, the
-	// challenger at challenger_k when set (resource augmentation). The
-	// capacity schedule, when present, resolves against each base.
-	baseParams, err := c.sideParams(c.K)
-	if err != nil {
-		return Verdict{}, fmt.Errorf("verify: claim %s: %w", c.Name, err)
-	}
-	chalParams := baseParams
-	if c.challengerK() != c.K {
-		chalParams, err = c.sideParams(c.challengerK())
-		if err != nil {
-			return Verdict{}, fmt.Errorf("verify: claim %s: %w", c.Name, err)
-		}
 	}
 	var runner *sim.Runner
 	effects := make([]float64, 0, n)
