@@ -5,10 +5,11 @@ GO ?= go
 
 .PHONY: all build test vet fmt lint bench bench-baseline benchstat soak experiments cover cover-gate smoke serve fleet verify verify-quick verify-baseline clean
 
-# Benchmarks the comparison targets track: the simulator serve paths and
-# the batch harness, plus the root throughput benches.
-BENCH_PATTERN ?= BenchmarkSim|BenchmarkSweepGrid
-BENCH_PKGS ?= . ./internal/sim/ ./internal/sweep/
+# Benchmarks the comparison targets track: the simulator serve paths,
+# the batch harness, the mcservd service path (jobs, sweeps, JobKey),
+# plus the root throughput benches.
+BENCH_PATTERN ?= BenchmarkSim|BenchmarkSweepGrid|BenchmarkServe|BenchmarkJobKey
+BENCH_PKGS ?= . ./internal/sim/ ./internal/sweep/ ./internal/server/
 BENCH_COUNT ?= 5
 
 all: build test lint

@@ -41,7 +41,7 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 		addrFile     = flag.String("addr-file", "", "write the bound address to this file (for scripts using port 0)")
 		workers      = flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 0, "job queue depth (0 = 2x workers); full queue => 429")
+		queue        = flag.Int("queue", 0, "job queue depth (0 = max(2x workers, 4)); full queue => 429")
 		cacheEntries = flag.Int("cache-entries", 0, "result cache budget in entries (0 = default 4096, negative = disabled)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job execution budget (0 = 60s)")
 		maxRequests  = flag.Int("max-requests", 0, "per-job total request budget (0 = 8M)")

@@ -218,6 +218,7 @@ func (d *Dispatcher) runSweep(ctx context.Context, runs []sweep.Job, req server.
 			Capacity: c.Capacity, Seed: req.Seed}
 	}
 
+	keyer := server.NewKeyer(runs[0].R) // every run of a sweep shares its request set
 	sem := make(chan struct{}, d.cfg.MaxInflight)
 	go func() {
 		for i := range runs {
@@ -233,7 +234,7 @@ func (d *Dispatcher) runSweep(ctx context.Context, runs []sweep.Job, req server.
 				defer func() { <-sem }()
 				d.met.cellsInflight.Add(1)
 				defer d.met.cellsInflight.Add(-1)
-				key := server.JobKey(run.R, run.Spec, run.Params, run.Seed)
+				key := keyer.Key(run.Spec, run.Params, run.Seed)
 				line := server.SweepLine{K: run.K, Tau: run.Tau, Capacity: run.Capacity, Spec: run.Spec, Key: key}
 				resp, _, err := d.routeCell(ctx, key, jobOf(run.Cell))
 				if err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -456,5 +457,32 @@ func TestGatewayObservabilityEndpoints(t *testing.T) {
 	}
 	if body := readBody(t, sresp); sresp.StatusCode != http.StatusOK || !strings.Contains(string(body), "strategies") {
 		t.Fatalf("strategies proxy: status %d body %s", sresp.StatusCode, body)
+	}
+}
+
+// TestWorkerDefaultQueueHoldsDispatcherInflight ties the two defaults
+// together: a one-thread mcservd at its default queue depth must hold
+// the dispatcher's default per-worker inflight bound (one cell running,
+// the rest queued). Otherwise the surplus cell gets 429 with
+// Retry-After: 1 and the fleet client sleeps a whole second.
+func TestWorkerDefaultQueueHoldsDispatcherInflight(t *testing.T) {
+	s := server.New(server.Config{Workers: 1})
+	defer s.Drain()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	gauges := map[string]float64{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatalf("parsing %q: %v", line, err)
+			}
+			gauges[f[0]] = v
+		}
+	}
+	holds := gauges["mcservd_workers"] + gauges["mcservd_queue_capacity"]
+	want := DispatcherConfig{}.withDefaults(1).WorkerInflight
+	if holds < float64(want) {
+		t.Fatalf("a default one-thread worker holds %v jobs (workers + queue), want >= %d (default WorkerInflight)", holds, want)
 	}
 }

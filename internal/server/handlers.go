@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,8 @@ import (
 	"strconv"
 	"time"
 
+	"mcpaging/internal/core"
+	"mcpaging/internal/sim"
 	"mcpaging/internal/strategyspec"
 	"mcpaging/internal/telemetry"
 )
@@ -61,16 +64,43 @@ func (s *Server) retryAfterHint() string {
 // telemetry Prometheus snapshot of the most recently completed job.
 // Server metrics are mcservd_*; per-run telemetry is mcpaging_*, so the
 // two families never collide in one scrape.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.metrics.writePrometheus(w, s.snapshotGauges()); err != nil {
 		return
 	}
-	s.telemMu.Lock()
-	defer s.telemMu.Unlock()
-	if s.lastTelem != nil {
-		_ = telemetry.WritePrometheus(w, s.lastTelem)
+	_, _ = w.Write(s.telemetrySection(r.Context()))
+}
+
+// telemetrySection returns the mcpaging_* section of /metrics: the
+// telemetry snapshot of the most recently completed job, or nil before
+// the first completion. Jobs run without an observer; the first scrape
+// after a completion replays that job once with a Collector attached,
+// and later scrapes reuse the bytes until the next completion. Runs are
+// deterministic, so the replay observes exactly the run the job made.
+// If ctx ends first the section is left out and the next scrape
+// retries.
+func (s *Server) telemetrySection(ctx context.Context) []byte {
+	s.promMu.Lock()
+	defer s.promMu.Unlock()
+	j := s.last.Load()
+	if j == s.promJob {
+		return s.prom
 	}
+	st, err := strategyspec.Build(j.Spec, j.R, j.Params.K, j.Seed)
+	if err != nil {
+		return nil
+	}
+	col := telemetry.New(telemetry.Config{Cores: j.R.NumCores(), Params: j.Params})
+	res, err := sim.RunContext(ctx, core.Instance{R: j.R, P: j.Params}, st, col.Observe)
+	if err != nil {
+		return nil
+	}
+	col.Finish(res)
+	var b bytes.Buffer
+	_ = telemetry.WritePrometheus(&b, col) // bytes.Buffer writes cannot fail
+	s.prom, s.promJob = b.Bytes(), j
+	return s.prom
 }
 
 func (s *Server) handleStrategies(w http.ResponseWriter, _ *http.Request) {
@@ -208,9 +238,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		j    *job
 	}
 	var pts []*point
+	keyer := NewKeyer(runs[0].R) // every run of a sweep shares its request set
 	for _, run := range runs {
 		pt := &point{line: SweepLine{K: run.K, Tau: run.Tau, Capacity: run.Capacity, Spec: run.Spec}}
-		pt.line.Key = JobKey(run.R, run.Spec, run.Params, run.Seed)
+		pt.line.Key = keyer.Key(run.Spec, run.Params, run.Seed)
 		if v, ok := s.cache.get(pt.line.Key); ok {
 			pt.hit = &v
 		} else {

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"io"
 	"strings"
 
 	"mcpaging/internal/core"
@@ -33,32 +35,107 @@ import (
 // the per-worker caches compose into one logical distributed cache.
 func JobKey(rs core.RequestSet, spec string, p core.Params, seed int64) string {
 	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) {
-		h.Write(buf[:binary.PutUvarint(buf[:], v)])
-	}
-	writeVarint := func(v int64) {
-		h.Write(buf[:binary.PutVarint(buf[:], v)])
-	}
-	h.Write([]byte("mcservd/job/v3\x00"))
-	writeVarint(int64(p.K))
-	writeVarint(int64(p.Tau))
+	e := keyEncoder{w: h}
+	e.params(spec, p, seed)
+	e.requests(rs)
+	e.flush()
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Keyer keys many jobs over one request set, such as the cells of a
+// sweep, with the keys JobKey gives them. It encodes the request set
+// once, so each Key hashes the job's parameters and that shared
+// encoding instead of re-encoding the set varint by varint.
+type Keyer struct{ enc []byte }
+
+// NewKeyer encodes rs for Key.
+func NewKeyer(rs core.RequestSet) Keyer {
+	var b bytes.Buffer
+	e := keyEncoder{w: &b}
+	e.requests(rs)
+	e.flush()
+	return Keyer{enc: b.Bytes()}
+}
+
+// Key returns JobKey(rs, spec, p, seed) for the request set the Keyer
+// was built from.
+func (k Keyer) Key(spec string, p core.Params, seed int64) string {
+	h := sha256.New()
+	e := keyEncoder{w: h}
+	e.params(spec, p, seed)
+	e.flush()
+	h.Write(k.enc)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// keyEncoder writes JobKey's canonical encoding to w through a fixed
+// buffer: one Write per buffer-full rather than one per varint, which
+// for a request set of n pages is n interface calls into the hash.
+type keyEncoder struct {
+	w   io.Writer
+	n   int
+	buf [512]byte
+}
+
+// params encodes everything but the request set: the domain label, K,
+// τ, the canonical capacity schedule, the seed and the trimmed spec.
+func (e *keyEncoder) params(spec string, p core.Params, seed int64) {
+	e.raw([]byte("mcservd/job/v3\x00"))
+	e.varint(int64(p.K))
+	e.varint(int64(p.Tau))
 	var capEnc []byte
 	if p.Capacity != nil {
 		capEnc = p.Capacity.Canonical()
 	}
-	writeUvarint(uint64(len(capEnc)))
-	h.Write(capEnc)
-	writeVarint(seed)
+	e.uvarint(uint64(len(capEnc)))
+	e.raw(capEnc)
+	e.varint(seed)
 	spec = strings.TrimSpace(spec)
-	writeUvarint(uint64(len(spec)))
-	h.Write([]byte(spec))
-	writeUvarint(uint64(len(rs)))
+	e.uvarint(uint64(len(spec)))
+	e.raw([]byte(spec))
+}
+
+// requests encodes the request set: the core count, then each core's
+// length and pages.
+func (e *keyEncoder) requests(rs core.RequestSet) {
+	e.uvarint(uint64(len(rs)))
 	for _, seq := range rs {
-		writeUvarint(uint64(len(seq)))
+		e.uvarint(uint64(len(seq)))
 		for _, pg := range seq {
-			writeVarint(int64(pg))
+			e.varint(int64(pg))
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+}
+
+func (e *keyEncoder) uvarint(v uint64) {
+	if len(e.buf)-e.n < binary.MaxVarintLen64 {
+		e.flush()
+	}
+	e.n += binary.PutUvarint(e.buf[e.n:], v)
+}
+
+func (e *keyEncoder) varint(v int64) {
+	if len(e.buf)-e.n < binary.MaxVarintLen64 {
+		e.flush()
+	}
+	e.n += binary.PutVarint(e.buf[e.n:], v)
+}
+
+func (e *keyEncoder) raw(b []byte) {
+	for len(b) > 0 {
+		if e.n == len(e.buf) {
+			e.flush()
+		}
+		c := copy(e.buf[e.n:], b)
+		e.n += c
+		b = b[c:]
+	}
+}
+
+// flush hands the buffered bytes to w. Neither sink can fail: hash
+// writes never return an error and bytes.Buffer panics rather than
+// return one.
+func (e *keyEncoder) flush() {
+	_, _ = e.w.Write(e.buf[:e.n])
+	e.n = 0
 }

@@ -9,7 +9,6 @@ import (
 	"mcpaging/internal/metrics"
 	"mcpaging/internal/sim"
 	"mcpaging/internal/strategyspec"
-	"mcpaging/internal/telemetry"
 )
 
 // ErrDraining is reported to submissions that arrive after Drain began.
@@ -105,8 +104,7 @@ func (s *Server) execute(rn **sim.Runner, j *job) outcome {
 		return outcome{err: errBuild{err}}
 	}
 	defer (*rn).Release()
-	col := telemetry.New(telemetry.Config{Cores: j.R.NumCores(), Params: j.Params})
-	res, err := (*rn).RunContext(ctx, j.Params, st, col.Observe)
+	res, err := (*rn).RunContext(ctx, j.Params, st, nil)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.metrics.timeouts.Add(1)
@@ -114,10 +112,8 @@ func (s *Server) execute(rn **sim.Runner, j *job) outcome {
 		}
 		return outcome{err: err}
 	}
-	col.Finish(res)
-	s.telemMu.Lock()
-	s.lastTelem = col
-	s.telemMu.Unlock()
+	last := j.Job
+	s.last.Store(&last)
 	return outcome{result: resultFrom(st.Name(), j.R.TotalLen(), res)}
 }
 

@@ -20,7 +20,12 @@
 //     per-job timeout via sim's cooperative context cancellation.
 //   - /metrics serves the server-level counters plus the telemetry
 //     snapshot of the most recently completed job, both in Prometheus
-//     text format. /healthz and /readyz are liveness and readiness.
+//     text format. Jobs run without a telemetry observer; the snapshot
+//     is built on scrape by replaying the last completed job with a
+//     Collector attached, so it costs one simulation per scrape after
+//     a new completion and nothing per job. The server keeps that
+//     job's request set for the replay. /healthz and /readyz are
+//     liveness and readiness.
 //   - Drain stops intake (submissions fail with ErrDraining, readiness
 //     goes false) and waits for queued and in-flight jobs to finish —
 //     the graceful-shutdown half that cmd/mcservd pairs with
@@ -31,9 +36,10 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"mcpaging/internal/telemetry"
+	"mcpaging/internal/sweep"
 )
 
 // Config parameterises a Server. Zero values select the defaults noted
@@ -41,8 +47,10 @@ import (
 type Config struct {
 	// Workers is the simulation worker-pool size (0 = GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the job queue (0 = 2×Workers). When the queue
-	// is full, POST /v1/jobs returns 429 with a Retry-After hint.
+	// QueueDepth bounds the job queue (0 = max(2×Workers, 4), so the
+	// default holds mcfleet's default of 4 cells in flight per worker).
+	// When the queue is full, POST /v1/jobs returns 429 with a
+	// Retry-After hint.
 	QueueDepth int
 	// CacheEntries is the result-cache budget in entries (0 = 4096,
 	// negative = caching disabled).
@@ -74,7 +82,7 @@ func (c Config) withDefaults() Config {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 2 * c.Workers
+		c.QueueDepth = max(2*c.Workers, 4)
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
@@ -110,8 +118,16 @@ type Server struct {
 	drainMu  sync.RWMutex
 	draining bool
 
-	telemMu   sync.Mutex
-	lastTelem *telemetry.Collector
+	// last is the most recently completed job, the one /metrics
+	// replays; workers store it and do nothing more.
+	last atomic.Pointer[sweep.Job]
+
+	// prom is the mcpaging_* section /metrics serves, rendered by
+	// replaying promJob. A scrape renders under promMu, so concurrent
+	// scrapes share one replay.
+	promMu  sync.Mutex
+	promJob *sweep.Job
+	prom    []byte
 }
 
 // New builds a Server and starts its worker pool.
