@@ -55,7 +55,7 @@ soak:
 
 # Full-size reproduction of every paper claim (EXPERIMENTS.md tables).
 experiments:
-	$(GO) run ./cmd/mcexp -parallel 8
+	$(GO) run ./cmd/mcexp
 
 smoke:
 	./scripts/smoke.sh

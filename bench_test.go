@@ -328,8 +328,9 @@ func BenchmarkAblationFTFPruning(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationOPTCurve contrasts the serial and parallel OPT-curve
-// computations (identical outputs).
+// BenchmarkAblationOPTCurve contrasts a serial loop over the per-size
+// Belady simulations with OPTCurve, which fans the sizes out over
+// GOMAXPROCS goroutines (identical outputs).
 func BenchmarkAblationOPTCurve(b *testing.B) {
 	rs, err := mcpaging.GenerateWorkload(mcpaging.WorkloadSpec{
 		Cores: 1, Length: 30000, Pages: 256, Kind: mcpaging.WorkloadZipf, Seed: 9,
@@ -339,12 +340,14 @@ func BenchmarkAblationOPTCurve(b *testing.B) {
 	}
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mcpaging.OPTMissCurve(rs[0], 64)
+			for k := 0; k <= 64; k++ {
+				mattson.OPTMisses(rs[0], k)
+			}
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mattson.OPTCurveParallel(rs[0], 64, 0)
+			mcpaging.OPTMissCurve(rs[0], 64)
 		}
 	})
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	mcexp                 # run everything at full size
+//	mcexp                 # run everything at full size, experiments concurrently
 //	mcexp -exp E7         # one experiment
 //	mcexp -quick          # reduced sizes (seconds instead of minutes)
 //	mcexp -list           # list experiments
@@ -27,7 +27,6 @@ func main() {
 		quick      = flag.Bool("quick", false, "reduced workload sizes")
 		seed       = flag.Int64("seed", 1, "random seed")
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
-		parallel   = flag.Int("parallel", 0, "run experiments concurrently on this many workers (0 = serial)")
 		format     = flag.String("format", "text", "output format: text or md (markdown)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -69,30 +68,12 @@ func main() {
 	if *telemDir != "" {
 		cfg = cfg.WithTelemetry(*telemDir, *telemWin)
 	}
+	render := (*experiments.Result).Render
+	if *format == "md" {
+		render = (*experiments.Result).RenderMarkdown
+	}
 	if *exp == "" {
-		if *format == "md" {
-			for _, id := range experiments.IDs() {
-				r, err := experiments.Get(id)
-				if err != nil {
-					fatal(err)
-				}
-				res, err := r(cfg)
-				if err != nil {
-					fatal(err)
-				}
-				if err := res.RenderMarkdown(os.Stdout); err != nil {
-					fatal(err)
-				}
-			}
-			return
-		}
-		var err error
-		if *parallel > 0 {
-			err = experiments.RunAllParallel(cfg, os.Stdout, *parallel)
-		} else {
-			err = experiments.RunAll(cfg, os.Stdout)
-		}
-		if err != nil {
+		if err := experiments.RunAll(cfg, os.Stdout, render); err != nil {
 			fatal(err)
 		}
 		return
@@ -105,11 +86,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	render := res.Render
-	if *format == "md" {
-		render = res.RenderMarkdown
-	}
-	if err := render(os.Stdout); err != nil {
+	if err := render(res, os.Stdout); err != nil {
 		fatal(err)
 	}
 }

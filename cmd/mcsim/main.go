@@ -41,11 +41,11 @@ import (
 	"os"
 	"path/filepath"
 
-	"mcpaging/internal/capacity"
 	"mcpaging/internal/core"
 	"mcpaging/internal/metrics"
 	"mcpaging/internal/sim"
 	"mcpaging/internal/strategyspec"
+	"mcpaging/internal/sweep"
 	"mcpaging/internal/telemetry"
 	"mcpaging/internal/trace"
 )
@@ -96,18 +96,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	in := core.Instance{R: rs, P: core.Params{K: *k, Tau: *tau}}
-	if *capSpec != "" {
-		sched, err := capacity.ParseSchedule(*capSpec, *k)
-		if err != nil {
-			fatal(err)
-		}
-		in.P.Capacity = sched
-	}
-
 	specs := []string{*strat}
 	if *all {
 		specs = strategyspec.Portfolio()
+	}
+	var caps []string
+	if *capSpec != "" {
+		caps = []string{*capSpec}
+	}
+	jobs, err := sweep.Grid{R: rs, Ks: []int{*k}, Taus: []int{*tau}, Capacities: caps, Specs: specs, Seed: *seed}.Jobs()
+	if err != nil {
+		fatal(err)
 	}
 	title := fmt.Sprintf("trace=%s p=%d n=%d K=%d τ=%d", *tracePath, rs.NumCores(), rs.TotalLen(), *k, *tau)
 	if *capSpec != "" {
@@ -115,8 +114,8 @@ func main() {
 	}
 	tbl := metrics.NewTable(title,
 		"strategy", "faults", "fault_rate", "jain", "makespan")
-	for _, spec := range specs {
-		st, err := strategyspec.Build(spec, rs, *k, *seed)
+	for _, job := range jobs {
+		st, err := strategyspec.Build(job.Spec, rs, job.K, job.Seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -149,20 +148,20 @@ func main() {
 		if *telem {
 			dir := *telemDir
 			if len(specs) > 1 {
-				dir = filepath.Join(dir, telemetry.SanitizeLabel(spec))
+				dir = filepath.Join(dir, telemetry.SanitizeLabel(job.Spec))
 			}
 			sess, err = telemetry.Start(telemetry.SessionConfig{
 				Dir: dir,
 				Collector: telemetry.Config{
 					Cores:  rs.NumCores(),
-					Params: in.P,
+					Params: job.Params,
 					Window: *telemWin,
 				},
 				CaptureEvents: true,
 				Manifest: telemetry.Manifest{
 					Tool:         "mcsim",
 					Source:       *tracePath,
-					Strategy:     spec,
+					Strategy:     job.Spec,
 					StrategyName: st.Name(),
 					Cores:        rs.NumCores(),
 					Requests:     rs.TotalLen(),
@@ -179,7 +178,7 @@ func main() {
 			}
 			obs = sim.MultiObserver(obs, sess.Observer())
 		}
-		res, err := sim.Run(in, st, obs)
+		res, err := sim.Run(core.Instance{R: rs, P: job.Params}, st, obs)
 		if err != nil {
 			if sess != nil {
 				sess.Abort()

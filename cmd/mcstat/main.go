@@ -60,7 +60,7 @@ func main() {
 			row = append(row, rate(lru[s], len(seq)))
 		}
 		if *optCurve {
-			opt := mattson.OPTCurveParallel(seq, *k, 0)
+			opt := mattson.OPTCurve(seq, *k)
 			for _, s := range samples {
 				row = append(row, rate(opt[s], len(seq)))
 			}

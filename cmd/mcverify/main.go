@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	out := fs.String("o", "", "write the JSONL verdict report to this file")
 	baselinePath := fs.String("baseline", "verify/baseline.json", "verdict baseline to gate against (empty to skip)")
 	updateBaseline := fs.Bool("update-baseline", false, "run quick and full modes and rewrite the baseline")
-	workers := fs.Int("workers", 4, "claims proved concurrently")
+	workers := fs.Int("workers", 0, "claims proved concurrently (0 = GOMAXPROCS)")
 	claimFilter := fs.String("claims", "", "only prove claims whose name contains this substring")
 	listFamilies := fs.Bool("list-families", false, "list the workload families and exit")
 	verbose := fs.Bool("v", false, "print one line per finished claim")

@@ -118,6 +118,7 @@ var criticalPrefixes = []string{
 	"mcpaging/internal/workload",
 	"mcpaging/internal/verify",
 	"mcpaging/internal/fleet",
+	"mcpaging/internal/par",
 }
 
 // IsCritical reports whether pkgPath is determinism-critical, i.e.

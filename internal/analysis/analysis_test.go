@@ -20,6 +20,7 @@ func TestIsCritical(t *testing.T) {
 		{"mcpaging/internal/offline", true},
 		{"mcpaging/internal/server", true},
 		{"mcpaging/internal/fleet", true},
+		{"mcpaging/internal/par", true},
 		{"mcpaging/internal/analysis", false},
 		{"mcpaging/cmd/mcvet", false},
 		{"mcpaging/internal/simx", false}, // prefix match is per path element

@@ -7,9 +7,11 @@ import (
 // denseListCap bounds the intrusive array backing the recency-ordered
 // policies: page IDs below it index the node array directly (one array
 // slot per possible ID, allocation-free after warm-up); IDs at or above
-// it are kept in an overflow map. The simulator renumbers sparse inputs
-// before they reach a policy, so the overflow path only triggers for
-// strategies fed raw sparse IDs directly.
+// it are kept in an overflow map. Policies always see the instance's
+// original page IDs — the simulator's dense renumbering stays inside its
+// engine — so the overflow path is ordinary traffic on any input with
+// large IDs. Generated workloads place shared pages at 2^24 and above,
+// and every fault on one inserts through the map and allocates a node.
 const denseListCap = 1 << 20
 
 // absentNode marks a dense node slot whose page is not in the list.
@@ -92,12 +94,12 @@ func (r *recencyList) insert(p core.PageID) {
 		}
 	} else {
 		if r.big == nil {
-			r.big = make(map[core.PageID]*rnode) //mcvet:ignore hotalloc sparse-ID overflow path, cold by construction
+			r.big = make(map[core.PageID]*rnode) //mcvet:ignore hotalloc made once per list, on its first ID ≥ denseListCap
 		}
 		if r.big[p] != nil {
 			panic("cache: duplicate insert of page in replacement domain")
 		}
-		nd = &rnode{} //mcvet:ignore hotalloc sparse-ID overflow path, cold by construction
+		nd = &rnode{} //mcvet:ignore hotalloc one node per insert of an ID ≥ denseListCap, a known cost on inputs with large IDs (see denseListCap)
 		r.big[p] = nd
 	}
 	nd.prev, nd.next = r.tail, core.NoPage

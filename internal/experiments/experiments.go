@@ -7,6 +7,7 @@ import (
 
 	"mcpaging/internal/cache"
 	"mcpaging/internal/metrics"
+	"mcpaging/internal/par"
 	"mcpaging/internal/policy"
 )
 
@@ -124,15 +125,28 @@ func Get(id string) (Runner, error) {
 	return r, nil
 }
 
-// RunAll executes every experiment in order and writes the reports to w.
-func RunAll(cfg Config, w io.Writer) error {
-	for _, id := range IDs() {
-		r := registry[id]
-		res, err := r(cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+// RunAll runs every experiment, concurrently on up to GOMAXPROCS
+// goroutines, then writes the reports to w in registry order with
+// render ((*Result).Render or (*Result).RenderMarkdown). Experiments are
+// independent and deterministic given the seed, so the output does not
+// depend on the scheduling.
+func RunAll(cfg Config, w io.Writer, render func(*Result, io.Writer) error) error {
+	return runAll(cfg, w, render, 0)
+}
+
+// runAll is RunAll on up to workers goroutines (0 = GOMAXPROCS).
+func runAll(cfg Config, w io.Writer, render func(*Result, io.Writer) error, workers int) error {
+	ids := IDs()
+	results := make([]*Result, len(ids))
+	errs := make([]error, len(ids))
+	par.For(len(ids), workers, func() func(int) {
+		return func(i int) { results[i], errs[i] = registry[ids[i]](cfg) }
+	})
+	for i, id := range ids {
+		if errs[i] != nil {
+			return fmt.Errorf("%s: %w", id, errs[i])
 		}
-		if err := res.Render(w); err != nil {
+		if err := render(results[i], w); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -70,13 +71,32 @@ func TestAllExperimentsQuick(t *testing.T) {
 
 func TestRunAllQuick(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunAll(Config{Quick: true, Seed: 3}, &buf); err != nil {
+	if err := RunAll(Config{Quick: true, Seed: 3}, &buf, (*Result).Render); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range IDs() {
 		if !strings.Contains(buf.String(), "== "+id+":") {
 			t.Errorf("output missing %s", id)
 		}
+	}
+}
+
+// TestRunAllParallelMatchesSerial requires the suite's reports to be
+// the same on one goroutine and on four, apart from the wall-clock "ms"
+// values, the only run-dependent content.
+func TestRunAllParallelMatchesSerial(t *testing.T) {
+	timings := regexp.MustCompile(`[0-9]+\.[0-9]+\n`)
+	cfg := Config{Quick: true, Seed: 11}
+	var out [2]string
+	for i, workers := range []int{1, 4} {
+		var buf bytes.Buffer
+		if err := runAll(cfg, &buf, (*Result).Render, workers); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = timings.ReplaceAllString(buf.String(), "X\n")
+	}
+	if out[0] != out[1] {
+		t.Fatal("output at 4 workers differs from 1 worker")
 	}
 }
 

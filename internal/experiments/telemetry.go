@@ -13,7 +13,7 @@ import (
 // telemetryState is the shared bookkeeping behind Config.WithTelemetry:
 // the export root plus a per-experiment run counter that keeps export
 // directories unique and deterministic (each experiment issues its runs
-// sequentially, even under RunAllParallel).
+// sequentially, even when RunAll runs experiments concurrently).
 type telemetryState struct {
 	dir    string
 	window int64

@@ -20,11 +20,9 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"mcpaging/internal/core"
+	"mcpaging/internal/par"
 )
 
 // LRUCurve returns the LRU miss counts for cache sizes 0..kmax for one
@@ -151,42 +149,16 @@ func OPTMisses(seq core.Sequence, k int) int64 {
 	return misses
 }
 
-// OPTCurve returns Belady miss counts for sizes 0..kmax.
+// OPTCurve returns Belady miss counts for sizes 0..kmax. Each size is an
+// independent simulation, so the sizes run on up to GOMAXPROCS
+// goroutines: the OPT curve is the most expensive step of sP^OPT_OPT
+// baselines on long traces. BenchmarkAblationOPTCurve (bench_test.go at
+// the module root) compares it with a serial loop over OPTMisses.
 func OPTCurve(seq core.Sequence, kmax int) []int64 {
 	curve := make([]int64, kmax+1)
-	for k := 0; k <= kmax; k++ {
-		curve[k] = OPTMisses(seq, k)
-	}
-	return curve
-}
-
-// OPTCurveParallel computes the same curve with the per-size Belady
-// simulations fanned out over `workers` goroutines (0 = GOMAXPROCS).
-// Each size is independent, so the result is identical to OPTCurve's;
-// the parallel version exists because the OPT curve is the most
-// expensive step of sP^OPT_OPT baselines on long traces. The
-// serial-vs-parallel ablation is BenchmarkOPTCurveParallel.
-func OPTCurveParallel(seq core.Sequence, kmax, workers int) []int64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	curve := make([]int64, kmax+1)
-	var next int64 = 0
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(atomic.AddInt64(&next, 1)) - 1
-				if k > kmax {
-					return
-				}
-				curve[k] = OPTMisses(seq, k)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(curve), 0, func() func(int) {
+		return func(k int) { curve[k] = OPTMisses(seq, k) }
+	})
 	return curve
 }
 
@@ -295,7 +267,7 @@ func OptimalLRU(r core.RequestSet, k int) (Partition, error) {
 func OptimalOPT(r core.RequestSet, k int) (Partition, error) {
 	curves := make([][]int64, len(r))
 	for j, s := range r {
-		curves[j] = OPTCurveParallel(s, k, 0)
+		curves[j] = OPTCurve(s, k)
 	}
 	return Optimal(curves, k, ActiveMask(r))
 }

@@ -2,7 +2,6 @@ package mattson_test
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -307,14 +306,18 @@ func TestOptimalOPTBeatsOptimalLRU(t *testing.T) {
 	}
 }
 
+// TestOPTCurveParallelMatchesSerial checks the fanned-out curve against
+// one OPTMisses call per size.
 func TestOPTCurveParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	seq := randSeq(rng, 500, 20)
-	serial := mattson.OPTCurve(seq, 16)
-	for _, workers := range []int{0, 1, 3, 8} {
-		par := mattson.OPTCurveParallel(seq, 16, workers)
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("workers=%d: parallel curve differs", workers)
+	curve := mattson.OPTCurve(seq, 16)
+	if len(curve) != 17 {
+		t.Fatalf("curve has %d points, want 17", len(curve))
+	}
+	for k, got := range curve {
+		if want := mattson.OPTMisses(seq, k); got != want {
+			t.Errorf("k=%d: OPTCurve %d, OPTMisses %d", k, got, want)
 		}
 	}
 }

@@ -7,12 +7,11 @@ package sweep
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"mcpaging/internal/capacity"
 	"mcpaging/internal/core"
 	"mcpaging/internal/metrics"
+	"mcpaging/internal/par"
 	"mcpaging/internal/sim"
 	"mcpaging/internal/strategyspec"
 )
@@ -191,65 +190,44 @@ func Run(g Grid) ([]Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := g.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	points := make([]Point, len(jobs))
-	for i, j := range jobs {
-		points[i] = Point{K: j.K, Tau: j.Tau, Capacity: j.Capacity, Spec: j.Spec, Params: j.Params}
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
-	todo := make(chan int)
-	var wg sync.WaitGroup
 	total := float64(g.R.TotalLen())
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rn, err := sim.NewRunner(g.R)
-			for i := range todo {
-				pt := &points[i]
-				if err != nil {
-					pt.Err = err
-					continue
-				}
-				st, berr := strategyspec.Build(pt.Spec, g.R, pt.K, g.Seed)
-				if berr != nil {
-					pt.Err = berr
-					continue
-				}
-				pt.Strategy = st.Name()
-				var obs sim.Observer
-				var done func(sim.Result) error
-				if g.Observe != nil {
-					obs, done = g.Observe(*pt)
-				}
-				res, rerr := rn.Run(pt.Params, st, obs)
-				if rerr != nil {
-					pt.Err = rerr
-					continue
-				}
-				pt.Faults = res.TotalFaults()
-				pt.Rate = float64(res.TotalFaults()) / total
-				pt.Jain = metrics.JainIndex(res.Faults)
-				pt.Makespan = res.Makespan
-				pt.CapacityEvictions = res.CapacityEvictions
-				if done != nil {
-					if derr := done(res); derr != nil {
-						pt.Err = derr
-					}
-				}
+	par.For(len(jobs), g.Workers, func() func(int) {
+		rn, rnErr := sim.NewRunner(g.R)
+		return func(i int) {
+			j := &jobs[i]
+			pt := &points[i]
+			*pt = Point{K: j.K, Tau: j.Tau, Capacity: j.Capacity, Spec: j.Spec, Params: j.Params}
+			if rnErr != nil {
+				pt.Err = rnErr
+				return
 			}
-		}()
-	}
-	for i := range points {
-		todo <- i
-	}
-	close(todo)
-	wg.Wait()
+			st, err := strategyspec.Build(pt.Spec, g.R, pt.K, g.Seed)
+			if err != nil {
+				pt.Err = err
+				return
+			}
+			pt.Strategy = st.Name()
+			var obs sim.Observer
+			var done func(sim.Result) error
+			if g.Observe != nil {
+				obs, done = g.Observe(*pt)
+			}
+			res, err := rn.Run(pt.Params, st, obs)
+			if err != nil {
+				pt.Err = err
+				return
+			}
+			pt.Faults = res.TotalFaults()
+			pt.Rate = float64(res.TotalFaults()) / total
+			pt.Jain = metrics.JainIndex(res.Faults)
+			pt.Makespan = res.Makespan
+			pt.CapacityEvictions = res.CapacityEvictions
+			if done != nil {
+				pt.Err = done(res)
+			}
+		}
+	})
 	return points, nil
 }
 

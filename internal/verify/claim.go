@@ -40,8 +40,8 @@ const (
 	MetricFaults Metric = "faults"
 	// MetricMakespan is the completion time of the slowest core.
 	MetricMakespan Metric = "makespan"
-	// MetricJain is Jain's fairness index of the per-core fault counts,
-	// read from the telemetry collector's end-of-run totals.
+	// MetricJain is Jain's fairness index of the run's per-core fault
+	// counts (joins included), the value telemetry reports as FaultJain.
 	MetricJain Metric = "jain"
 	// MetricOptRatio is baseline faults divided by the offline optimum
 	// (Algorithm 1 / Theorem 6), compared against Claim.Bound instead of

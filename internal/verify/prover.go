@@ -2,14 +2,14 @@ package verify
 
 import (
 	"fmt"
-	"sync"
 
 	"mcpaging/internal/core"
+	"mcpaging/internal/metrics"
 	"mcpaging/internal/offline"
+	"mcpaging/internal/par"
 	"mcpaging/internal/sim"
 	"mcpaging/internal/stats"
 	"mcpaging/internal/strategyspec"
-	"mcpaging/internal/telemetry"
 	"mcpaging/internal/workload"
 )
 
@@ -43,11 +43,13 @@ type Options struct {
 	// SampleScale multiplies sample counts after the Quick selection
 	// (nightly runs use > 1; 0 means 1).
 	SampleScale float64
-	// Workers proves that many claims concurrently (0 or 1 = serial).
+	// Workers proves that many claims concurrently (0 = GOMAXPROCS).
 	// Verdict order and content are unaffected: each claim's sampling
 	// is self-contained and seeded.
 	Workers int
-	// Progress, when non-nil, receives one line per finished claim.
+	// Progress, when non-nil, receives one line per finished claim. It
+	// is called from the proving goroutines, concurrently unless
+	// Workers is 1.
 	Progress func(v Verdict)
 }
 
@@ -180,13 +182,7 @@ func (p *Prover) runMetric(c *Claim, spec string, rs core.RequestSet, runner *si
 	if err != nil {
 		return 0, err
 	}
-	var obs sim.Observer
-	var col *telemetry.Collector
-	if c.metric() == MetricJain {
-		col = telemetry.New(telemetry.Config{Cores: rs.NumCores(), Params: params})
-		obs = col.Observe
-	}
-	res, err := runner.Run(params, strat, obs)
+	res, err := runner.Run(params, strat, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -194,8 +190,7 @@ func (p *Prover) runMetric(c *Claim, spec string, rs core.RequestSet, runner *si
 	case MetricMakespan:
 		return float64(res.Makespan), nil
 	case MetricJain:
-		col.Finish(res)
-		return col.Totals().FaultJain, nil
+		return metrics.JainIndex(res.Faults), nil
 	case MetricOptRatio:
 		opt, err := offline.SolveFTF(core.Instance{R: rs, P: params}, offline.Options{})
 		if err != nil {
@@ -235,32 +230,14 @@ func decide(c *Claim, v *Verdict) Status {
 func (p *Prover) ProveAll(m *Manifest) ([]Verdict, error) {
 	verdicts := make([]Verdict, len(m.Claims))
 	errs := make([]error, len(m.Claims))
-	workers := p.opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(m.Claims) {
-		workers = len(m.Claims)
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				verdicts[i], errs[i] = p.Prove(m.Claims[i])
-				if errs[i] == nil && p.opts.Progress != nil {
-					p.opts.Progress(verdicts[i])
-				}
+	par.For(len(m.Claims), p.opts.Workers, func() func(int) {
+		return func(i int) {
+			verdicts[i], errs[i] = p.Prove(m.Claims[i])
+			if errs[i] == nil && p.opts.Progress != nil {
+				p.opts.Progress(verdicts[i])
 			}
-		}()
-	}
-	for i := range m.Claims {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+		}
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("verify: claim %s: %w", m.Claims[i].Name, err)

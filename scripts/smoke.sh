@@ -60,8 +60,8 @@ grep -q '"status":"HOLDS"' "$dir/verdicts.jsonl"
 # The committed manifest gate itself (quick mode) runs in its own CI
 # job and in cmd/mcverify's tests; smoke only proves the plumbing.
 
-echo "== mcexp (quick, parallel, markdown) =="
-go run ./cmd/mcexp -quick -parallel 4 > /dev/null
+echo "== mcexp (quick, markdown) =="
+go run ./cmd/mcexp -quick > /dev/null
 go run ./cmd/mcexp -exp E7 -quick -format md > /dev/null
 
 echo "== mcservd (job, cache hit, sweep, metrics, graceful stop) =="
