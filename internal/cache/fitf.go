@@ -25,8 +25,7 @@ import (
 // the scan order does not affect behaviour.
 type FITF struct {
 	pages  []core.PageID
-	pos    []int32               // dense IDs: index+1 into pages; 0 = absent
-	bigPos map[core.PageID]int32 // position index for IDs ≥ denseListCap
+	pos    []int32 // index+1 into pages, by page ID; 0 = absent
 	oracle Oracle
 }
 
@@ -42,43 +41,19 @@ func (f *FITF) SetOracle(o Oracle) { f.oracle = o }
 
 // position returns the index+1 of p in pages, or 0 if absent.
 func (f *FITF) position(p core.PageID) int32 {
-	if p >= 0 && p < denseListCap {
-		if int(p) < len(f.pos) {
-			return f.pos[p]
-		}
-		return 0
+	if uint(p) < uint(len(f.pos)) {
+		return f.pos[p]
 	}
-	return f.bigPos[p]
+	return 0
 }
 
 func (f *FITF) setPosition(p core.PageID, idx int32) {
-	if p >= 0 && p < denseListCap {
-		if int(p) >= len(f.pos) {
-			n := 2 * len(f.pos)
-			if n <= int(p) {
-				n = int(p) + 1
-			}
-			if n < 16 {
-				n = 16
-			}
-			if n > denseListCap {
-				n = denseListCap
-			}
-			pos := make([]int32, n)
-			copy(pos, f.pos)
-			f.pos = pos
-		}
-		f.pos[p] = idx
-		return
+	if int(p) >= len(f.pos) {
+		pos := make([]int32, max(2*len(f.pos), int(p)+1, 16))
+		copy(pos, f.pos)
+		f.pos = pos
 	}
-	if idx == 0 {
-		delete(f.bigPos, p)
-		return
-	}
-	if f.bigPos == nil {
-		f.bigPos = make(map[core.PageID]int32)
-	}
-	f.bigPos[p] = idx
+	f.pos[p] = idx
 }
 
 // Insert implements Policy.

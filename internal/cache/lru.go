@@ -4,17 +4,7 @@ import (
 	"mcpaging/internal/core"
 )
 
-// denseListCap bounds the intrusive array backing the recency-ordered
-// policies: page IDs below it index the node array directly (one array
-// slot per possible ID, allocation-free after warm-up); IDs at or above
-// it are kept in an overflow map. Policies always see the instance's
-// original page IDs — the simulator's dense renumbering stays inside its
-// engine — so the overflow path is ordinary traffic on any input with
-// large IDs. Generated workloads place shared pages at 2^24 and above,
-// and every fault on one inserts through the map and allocates a node.
-const denseListCap = 1 << 20
-
-// absentNode marks a dense node slot whose page is not in the list.
+// absentNode marks a node slot whose page is not in the list.
 // core.NoPage (-1) doubles as the list-end sentinel.
 const absentNode core.PageID = -2
 
@@ -24,12 +14,12 @@ type rnode struct{ prev, next core.PageID }
 // recencyList is the shared machinery of the recency-ordered policies
 // (LRU, MRU, FIFO): an intrusive doubly linked list from least to most
 // recently used/inserted, with nodes indexed by page ID instead of
-// heap-allocated list elements.
+// heap-allocated list elements. Page IDs are the simulator's dense IDs,
+// so the node array stays proportional to the instance.
 type recencyList struct {
-	nodes []rnode                // dense nodes, index = page ID
-	big   map[core.PageID]*rnode // overflow nodes for IDs ≥ denseListCap
-	head  core.PageID            // least recent; core.NoPage when empty
-	tail  core.PageID            // most recent; core.NoPage when empty
+	nodes []rnode     // index = page ID
+	head  core.PageID // least recent; core.NoPage when empty
+	tail  core.PageID // most recent; core.NoPage when empty
 	n     int
 }
 
@@ -41,38 +31,19 @@ func newRecencyList() recencyList {
 //
 //mcpaging:hotpath
 func (r *recencyList) node(p core.PageID) *rnode {
-	if p >= 0 && int(p) < len(r.nodes) {
-		nd := &r.nodes[p]
-		if nd.prev == absentNode {
-			return nil
-		}
-		return nd
+	if uint(p) >= uint(len(r.nodes)) {
+		return nil
 	}
-	return r.big[p]
+	nd := &r.nodes[p]
+	if nd.prev == absentNode {
+		return nil
+	}
+	return nd
 }
 
-// mustNode returns the node of a page known to be in the list.
-//
-//mcpaging:hotpath
-func (r *recencyList) mustNode(p core.PageID) *rnode {
-	if int(p) < len(r.nodes) {
-		return &r.nodes[p]
-	}
-	return r.big[p]
-}
-
-// grow extends the dense node array to cover page p.
+// grow extends the node array to cover page p.
 func (r *recencyList) grow(p core.PageID) {
-	n := 2 * len(r.nodes)
-	if n <= int(p) {
-		n = int(p) + 1
-	}
-	if n < 16 {
-		n = 16
-	}
-	if n > denseListCap {
-		n = denseListCap
-	}
+	n := max(2*len(r.nodes), int(p)+1, 16)
 	nodes := make([]rnode, n)
 	copy(nodes, r.nodes)
 	for i := len(r.nodes); i < n; i++ {
@@ -83,28 +54,16 @@ func (r *recencyList) grow(p core.PageID) {
 
 //mcpaging:hotpath
 func (r *recencyList) insert(p core.PageID) {
-	var nd *rnode
-	if p >= 0 && p < denseListCap {
-		if int(p) >= len(r.nodes) {
-			r.grow(p)
-		}
-		nd = &r.nodes[p]
-		if nd.prev != absentNode {
-			panic("cache: duplicate insert of page in replacement domain")
-		}
-	} else {
-		if r.big == nil {
-			r.big = make(map[core.PageID]*rnode) //mcvet:ignore hotalloc made once per list, on its first ID ≥ denseListCap
-		}
-		if r.big[p] != nil {
-			panic("cache: duplicate insert of page in replacement domain")
-		}
-		nd = &rnode{} //mcvet:ignore hotalloc one node per insert of an ID ≥ denseListCap, a known cost on inputs with large IDs (see denseListCap)
-		r.big[p] = nd
+	if int(p) >= len(r.nodes) {
+		r.grow(p)
+	}
+	nd := &r.nodes[p]
+	if nd.prev != absentNode {
+		panic("cache: duplicate insert of page in replacement domain")
 	}
 	nd.prev, nd.next = r.tail, core.NoPage
 	if r.tail != core.NoPage {
-		r.mustNode(r.tail).next = p
+		r.nodes[r.tail].next = p
 	} else {
 		r.head = p
 	}
@@ -120,14 +79,14 @@ func (r *recencyList) moveToBack(p core.PageID) {
 	}
 	// Detach: p is not the tail, so nd.next is a real page.
 	if nd.prev != core.NoPage {
-		r.mustNode(nd.prev).next = nd.next
+		r.nodes[nd.prev].next = nd.next
 	} else {
 		r.head = nd.next
 	}
-	r.mustNode(nd.next).prev = nd.prev
+	r.nodes[nd.next].prev = nd.prev
 	// Reattach at the tail (non-empty: p itself is in the list).
 	nd.prev, nd.next = r.tail, core.NoPage
-	r.mustNode(r.tail).next = p
+	r.nodes[r.tail].next = p
 	r.tail = p
 }
 
@@ -137,29 +96,25 @@ func (r *recencyList) remove(p core.PageID) bool {
 	if nd == nil {
 		return false
 	}
-	r.unlink(p, nd)
+	r.unlink(nd)
 	return true
 }
 
 // unlink detaches an in-list node and marks it absent.
 //
 //mcpaging:hotpath
-func (r *recencyList) unlink(p core.PageID, nd *rnode) {
+func (r *recencyList) unlink(nd *rnode) {
 	if nd.prev != core.NoPage {
-		r.mustNode(nd.prev).next = nd.next
+		r.nodes[nd.prev].next = nd.next
 	} else {
 		r.head = nd.next
 	}
 	if nd.next != core.NoPage {
-		r.mustNode(nd.next).prev = nd.prev
+		r.nodes[nd.next].prev = nd.prev
 	} else {
 		r.tail = nd.prev
 	}
-	if int(p) < len(r.nodes) {
-		nd.prev = absentNode
-	} else {
-		delete(r.big, p)
-	}
+	nd.prev = absentNode
 	r.n--
 }
 
@@ -174,22 +129,16 @@ func (r *recencyList) front() core.PageID { return r.head }
 func (r *recencyList) back() core.PageID { return r.tail }
 
 // nextOf returns the page after p (toward most recent).
-func (r *recencyList) nextOf(p core.PageID) core.PageID { return r.mustNode(p).next }
+func (r *recencyList) nextOf(p core.PageID) core.PageID { return r.nodes[p].next }
 
 // prevOf returns the page before p (toward least recent).
-func (r *recencyList) prevOf(p core.PageID) core.PageID { return r.mustNode(p).prev }
+func (r *recencyList) prevOf(p core.PageID) core.PageID { return r.nodes[p].prev }
 
 func (r *recencyList) reset() {
 	for p := r.head; p != core.NoPage; {
-		nd := r.mustNode(p)
-		next := nd.next
-		if int(p) < len(r.nodes) {
-			nd.prev = absentNode
-		}
-		p = next
-	}
-	if r.big != nil {
-		clear(r.big)
+		nd := &r.nodes[p]
+		p = nd.next
+		nd.prev = absentNode
 	}
 	r.head, r.tail = core.NoPage, core.NoPage
 	r.n = 0
@@ -201,9 +150,9 @@ func (r *recencyList) reset() {
 //mcpaging:hotpath
 func (r *recencyList) evictFront(evictable func(core.PageID) bool) (core.PageID, bool) {
 	for p := r.head; p != core.NoPage; {
-		nd := r.mustNode(p)
+		nd := &r.nodes[p]
 		if evictable == nil || evictable(p) {
-			r.unlink(p, nd)
+			r.unlink(nd)
 			return p, true
 		}
 		p = nd.next
@@ -217,9 +166,9 @@ func (r *recencyList) evictFront(evictable func(core.PageID) bool) (core.PageID,
 //mcpaging:hotpath
 func (r *recencyList) evictBack(evictable func(core.PageID) bool) (core.PageID, bool) {
 	for p := r.tail; p != core.NoPage; {
-		nd := r.mustNode(p)
+		nd := &r.nodes[p]
 		if evictable == nil || evictable(p) {
-			r.unlink(p, nd)
+			r.unlink(nd)
 			return p, true
 		}
 		p = nd.prev

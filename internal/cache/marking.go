@@ -16,10 +16,9 @@ import (
 // than a map sweep, and the recency order reuses the intrusive
 // array-backed list of the LRU family.
 type Marking struct {
-	r         recencyList
-	epoch     []uint64             // dense marks: epoch[p] == cur ⇒ marked
-	cur       uint64               // current phase stamp, starts at 1
-	bigMarked map[core.PageID]bool // marks for IDs ≥ denseListCap
+	r     recencyList
+	epoch []uint64 // marks by page ID: epoch[p] == cur ⇒ marked
+	cur   uint64   // current phase stamp, starts at 1
 }
 
 // NewMarking returns an empty marking policy.
@@ -31,43 +30,16 @@ func NewMarking() *Marking {
 func (m *Marking) Name() string { return "MARK" }
 
 func (m *Marking) marked(p core.PageID) bool {
-	if p >= 0 && p < denseListCap {
-		return int(p) < len(m.epoch) && m.epoch[p] == m.cur
-	}
-	return m.bigMarked[p]
+	return uint(p) < uint(len(m.epoch)) && m.epoch[p] == m.cur
 }
 
 func (m *Marking) mark(p core.PageID) {
-	if p >= 0 && p < denseListCap {
-		if int(p) >= len(m.epoch) {
-			n := 2 * len(m.epoch)
-			if n <= int(p) {
-				n = int(p) + 1
-			}
-			if n < 16 {
-				n = 16
-			}
-			if n > denseListCap {
-				n = denseListCap
-			}
-			epoch := make([]uint64, n)
-			copy(epoch, m.epoch)
-			m.epoch = epoch
-		}
-		m.epoch[p] = m.cur
-		return
+	if int(p) >= len(m.epoch) {
+		epoch := make([]uint64, max(2*len(m.epoch), int(p)+1, 16))
+		copy(epoch, m.epoch)
+		m.epoch = epoch
 	}
-	if m.bigMarked == nil {
-		m.bigMarked = make(map[core.PageID]bool)
-	}
-	m.bigMarked[p] = true
-}
-
-func (m *Marking) clearMarks() {
-	m.cur++
-	if m.bigMarked != nil {
-		clear(m.bigMarked)
-	}
+	m.epoch[p] = m.cur
 }
 
 // Insert implements Policy. Newly inserted pages are marked.
@@ -104,7 +76,7 @@ func (m *Marking) Evict(evictable func(core.PageID) bool) (core.PageID, bool) {
 	if !any {
 		return core.NoPage, false
 	}
-	m.clearMarks()
+	m.cur++ // a new phase clears every mark
 	return m.evictUnmarked(evictable)
 }
 
@@ -121,15 +93,7 @@ func (m *Marking) evictUnmarked(evictable func(core.PageID) bool) (core.PageID, 
 }
 
 // Remove implements Policy.
-func (m *Marking) Remove(p core.PageID) bool {
-	if !m.r.remove(p) {
-		return false
-	}
-	if m.bigMarked != nil {
-		delete(m.bigMarked, p)
-	}
-	return true
-}
+func (m *Marking) Remove(p core.PageID) bool { return m.r.remove(p) }
 
 // Contains implements Policy.
 func (m *Marking) Contains(p core.PageID) bool { return m.r.contains(p) }
@@ -140,8 +104,8 @@ func (m *Marking) Len() int { return m.r.len() }
 // Reset implements Policy.
 func (m *Marking) Reset() {
 	m.r.reset()
-	// Opening a fresh epoch invalidates every dense mark in place.
-	m.clearMarks()
+	// Opening a fresh epoch invalidates every mark in place.
+	m.cur++
 }
 
 // Resize implements Policy: MARK's victim choice is capacity-independent.

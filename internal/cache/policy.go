@@ -28,7 +28,9 @@ type Access struct {
 }
 
 // Policy is the replacement-policy interface. A policy tracks a set of
-// pages (its domain) and selects eviction victims from it.
+// pages (its domain) and selects eviction victims from it. Page IDs are
+// the simulator's dense IDs (see sim.Strategy), so policies index
+// arrays by them directly.
 //
 // The evictable predicate passed to Evict lets the caller exclude pages
 // that are physically not evictable at this instant (pages whose fetch is
@@ -82,7 +84,9 @@ type Policy interface {
 	Surrender(evictable func(core.PageID) bool) (victim core.PageID, ok bool)
 }
 
-// Oracle provides future knowledge to offline policies such as FITF. The
+// Oracle is the simulator's knowledge of the instance, for policies that
+// need more than the pages they are shown: future requests for offline
+// policies such as FITF, and original page names for TinyLFU. The
 // simulator implements it.
 type Oracle interface {
 	// NextUse returns a monotone priority for page p's next request: a
@@ -91,15 +95,21 @@ type Oracle interface {
 	// request under the current alignment, or NeverUsed if the page is
 	// never requested again.
 	NextUse(p core.PageID) int64
+	// Original returns the instance's own ID for page p. Policies see
+	// the simulator's dense IDs, which keep every comparison between
+	// IDs; a policy whose behaviour depends on the ID value itself, like
+	// a hash, keys by the original.
+	Original(p core.PageID) core.PageID
 }
 
 // NeverUsed is returned by Oracle.NextUse for pages with no future
 // request.
 const NeverUsed int64 = math.MaxInt64
 
-// OracleUser is implemented by policies that need future knowledge. The
-// simulator calls SetOracle before the run starts; using such a policy
-// outside a simulation without an oracle panics on the first eviction.
+// OracleUser is implemented by policies that need the oracle. Strategies
+// call SetOracle before the policy's first insert; FITF used outside a
+// simulation without an oracle panics on the first eviction, and
+// TinyLFU without one keys by the IDs it is shown.
 type OracleUser interface {
 	SetOracle(Oracle)
 }

@@ -269,6 +269,8 @@ func (m mapOracle) NextUse(p core.PageID) int64 {
 	return NeverUsed
 }
 
+func (mapOracle) Original(p core.PageID) core.PageID { return p }
+
 func TestFITFEvictsFurthest(t *testing.T) {
 	f := NewFITF()
 	f.SetOracle(mapOracle{1: 10, 2: 50, 3: 30})

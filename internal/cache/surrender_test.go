@@ -10,7 +10,8 @@ import (
 // fixedOracle gives FITF a deterministic future without a simulator.
 type fixedOracle struct{}
 
-func (fixedOracle) NextUse(p core.PageID) int64 { return int64(p%7) * 11 }
+func (fixedOracle) NextUse(p core.PageID) int64        { return int64(p%7) * 11 }
+func (fixedOracle) Original(p core.PageID) core.PageID { return p }
 
 // TestSurrenderMatchesEvict pins the shrink half of the partition
 // contract: for every policy, Surrender selects exactly the page Evict

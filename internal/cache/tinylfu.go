@@ -17,6 +17,9 @@ import (
 // so "window" and "main" are logical segments of one domain. On Evict,
 // the window's LRU page duels the main region's probationary LRU victim
 // by sketch frequency; the loser leaves the domain.
+//
+// The sketch hashes each page's original ID, read through the oracle,
+// so results do not depend on how the simulator numbers pages.
 type TinyLFU struct {
 	c         int
 	windowCap int
@@ -25,7 +28,8 @@ type TinyLFU struct {
 	main   *SLRU
 
 	sketch  cmSketch
-	touches int64 // accesses since the last sketch reset
+	touches int64  // accesses since the last sketch reset
+	oracle  Oracle // names pages for the sketch; nil keys by the given ID
 }
 
 // NewTinyLFU returns an empty TinyLFU; Resize should be called before
@@ -38,6 +42,17 @@ func NewTinyLFU() *TinyLFU {
 
 // Name implements Policy.
 func (t *TinyLFU) Name() string { return "TINYLFU" }
+
+// SetOracle implements OracleUser.
+func (t *TinyLFU) SetOracle(o Oracle) { t.oracle = o }
+
+// key is the sketch key of page p: its original ID.
+func (t *TinyLFU) key(p core.PageID) uint64 {
+	if t.oracle != nil {
+		p = t.oracle.Original(p)
+	}
+	return uint64(p)
+}
 
 // Resize implements Policy: ~1/8 of the domain is admission window (at
 // least 1 cell), the rest is the SLRU main region. Pages over the new
@@ -59,7 +74,7 @@ func (t *TinyLFU) Surrender(evictable func(core.PageID) bool) (core.PageID, bool
 
 // record updates the frequency sketch and ages it.
 func (t *TinyLFU) record(p core.PageID) {
-	t.sketch.add(uint64(p))
+	t.sketch.add(t.key(p))
 	t.touches++
 	limit := int64(t.c) * 10
 	if limit < 64 {
@@ -114,7 +129,7 @@ func (t *TinyLFU) Evict(evictable func(core.PageID) bool) (core.PageID, bool) {
 	mv, mok := t.main.peekVictim(evictable)
 	switch {
 	case wok && mok:
-		if t.sketch.estimate(uint64(wv)) > t.sketch.estimate(uint64(mv)) {
+		if t.sketch.estimate(t.key(wv)) > t.sketch.estimate(t.key(mv)) {
 			// Window page is hotter: evict the main victim and promote
 			// the window page into the main region.
 			t.main.evictExact(mv)

@@ -110,9 +110,9 @@ func (d *Dispatcher) RunJob(ctx context.Context, req server.JobRequest) (server.
 // routeCell places one keyed job on the fleet. The ring owner is tried
 // first with a blocking slot acquire (backpressure); ring successors
 // absorb spill and failover, gated by their latency-weighted inflight
-// bound. Hard failures mark the worker down and advance along the
-// ring; exhausted rotations back off and retry, giving probes a chance
-// to resurrect members.
+// bound. Hard failures — including a response keyed for another cell —
+// mark the worker down and advance along the ring; exhausted rotations
+// back off and retry, giving probes a chance to resurrect members.
 func (d *Dispatcher) routeCell(ctx context.Context, key string, req server.JobRequest) (server.JobResponse, string, error) {
 	var lastErr error
 	for round := 0; ; round++ {
@@ -137,6 +137,11 @@ func (d *Dispatcher) routeCell(ctx context.Context, key string, req server.JobRe
 			resp, remoteID, err := w.client.RunJob(ctx, req)
 			rtt := d.clock.Now().Sub(start)
 			w.release()
+			if err == nil && resp.Key != key {
+				// An answer for another key is not this cell's result,
+				// whatever else it holds: a worker fault like any other.
+				err = fmt.Errorf("%w: %s: answered key %.16s for cell %.16s", errWorkerDown, w.client.ID(), resp.Key, key)
+			}
 			switch {
 			case err == nil:
 				d.reg.markRouteSuccess(w.client.ID(), remoteID, rtt)

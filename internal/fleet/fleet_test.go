@@ -289,6 +289,100 @@ func TestFleetFailoverOnDeadWorker(t *testing.T) {
 	}
 }
 
+// newWrongKeyWorker starts a worker that answers every job with a
+// well-formed response for a fixed, wrong key and a recognisable bogus
+// result.
+func newWrongKeyWorker(t *testing.T) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(server.JobResponse{Key: strings.Repeat("0", 64),
+			Result: server.Result{Strategy: "bogus", Makespan: -1}})
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestFleetFailoverOnWrongKeyWorker routes a sweep through a fleet with
+// a worker that answers for the wrong key: the gateway must treat it as
+// a worker fault, fail over, and never emit its result. With only such
+// workers, every cell must report an error instead. The bad worker's
+// ring position follows its random port, so its address is redrawn
+// until it owns at least one cell.
+func TestFleetFailoverOnWrongKeyWorker(t *testing.T) {
+	req := fleetSweepRequest()
+	cells, err := req.Resolve(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(cells))
+	for i, c := range cells {
+		keys[i] = server.JobKey(c.R, c.Spec, c.Params, c.Seed)
+	}
+	sweepLines := func(t *testing.T, f *testFleet) []server.SweepLine {
+		t.Helper()
+		resp := postJSON(t, f.ts.URL+"/v1/sweep", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep status %d", resp.StatusCode)
+		}
+		body := readBody(t, resp)
+		raw := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+		if len(raw) != len(cells) {
+			t.Fatalf("got %d lines, want %d", len(raw), len(cells))
+		}
+		lines := make([]server.SweepLine, len(raw))
+		for i := range raw {
+			if err := json.Unmarshal(raw[i], &lines[i]); err != nil {
+				t.Fatal(err)
+			}
+			if lines[i].Key != keys[i] {
+				t.Fatalf("line %d keyed %s, want %s", i, lines[i].Key, keys[i])
+			}
+			if r := lines[i].Result; r != nil && r.Strategy == "bogus" {
+				t.Fatalf("line %d carries the wrong-key worker's result", i)
+			}
+		}
+		return lines
+	}
+
+	t.Run("failover", func(t *testing.T) {
+		w1, w2 := newWorker(t, "w1").URL, newWorker(t, "w2").URL
+		const maxDraws = 32
+		var f *testFleet
+		for draw := 0; f == nil; draw++ {
+			if draw == maxDraws {
+				t.Fatalf("no wrong-key worker owned a cell in %d draws", maxDraws)
+			}
+			bad := newWrongKeyWorker(t).URL
+			cand := newTestFleet(t, []string{w1, w2, bad}, DispatcherConfig{}, GatewayConfig{QuotaRate: -1})
+			for _, k := range keys {
+				if cand.reg.Ring().Lookup(k) == bad {
+					f = cand
+					break
+				}
+			}
+		}
+		for i, l := range sweepLines(t, f) {
+			if l.Error != "" || l.Result == nil {
+				t.Fatalf("cell %d failed despite failover: %s", i, l.Error)
+			}
+		}
+		if f.met.failovers.Load() == 0 {
+			t.Fatal("expected at least one recorded failover against the wrong-key worker")
+		}
+	})
+
+	t.Run("only bad workers", func(t *testing.T) {
+		f := newTestFleet(t, []string{newWrongKeyWorker(t).URL, newWrongKeyWorker(t).URL},
+			DispatcherConfig{}, GatewayConfig{QuotaRate: -1})
+		for i, l := range sweepLines(t, f) {
+			if l.Error == "" || l.Result != nil {
+				t.Fatalf("cell %d: want an error and no result, got %+v", i, l)
+			}
+		}
+	})
+}
+
 // TestGatewayJobRouting posts a single job through the gateway and
 // checks passthrough, worker attribution, and cache affinity.
 func TestGatewayJobRouting(t *testing.T) {

@@ -120,7 +120,7 @@ func TestPartitionedSurrenderOneShedsMostOverQuota(t *testing.T) {
 	if s.occ[0] != 2 {
 		t.Fatalf("occ[0] = %d after shed, want 2", s.occ[0])
 	}
-	if _, owned := s.partOf[w]; owned {
+	if _, owned := s.Owner(w); owned {
 		t.Fatalf("shed page %d still owned", w)
 	}
 	// Both parts now hold 2 against quota 2; a further shed (engine

@@ -15,14 +15,15 @@ type fakeView struct {
 	k        int
 }
 
-func (f *fakeView) Resident(p core.PageID) bool { return f.resident[p] }
-func (f *fakeView) InFlight(core.PageID) bool   { return false }
-func (f *fakeView) Cached(p core.PageID) bool   { return f.resident[p] }
-func (f *fakeView) Free() int                   { return f.free }
-func (f *fakeView) K() int                      { return f.k }
-func (f *fakeView) Tau() int                    { return 0 }
-func (f *fakeView) Now() int64                  { return 0 }
-func (f *fakeView) NextUse(core.PageID) int64   { return 0 }
+func (f *fakeView) Resident(p core.PageID) bool        { return f.resident[p] }
+func (f *fakeView) InFlight(core.PageID) bool          { return false }
+func (f *fakeView) Cached(p core.PageID) bool          { return f.resident[p] }
+func (f *fakeView) Free() int                          { return f.free }
+func (f *fakeView) K() int                             { return f.k }
+func (f *fakeView) Tau() int                           { return 0 }
+func (f *fakeView) Now() int64                         { return 0 }
+func (f *fakeView) NextUse(core.PageID) int64          { return 0 }
+func (f *fakeView) Original(p core.PageID) core.PageID { return p }
 
 func acc(c int, t int64) cache.Access { return cache.Access{Core: c, Time: t} }
 
@@ -92,7 +93,7 @@ func TestPartitionedDonorSteal(t *testing.T) {
 	if w, ok := s.parts[1].Evict(nil); !ok {
 		t.Fatal("expected core 1's page evictable")
 	} else {
-		delete(s.partOf, w)
+		s.partOf[w] = -1
 		delete(v.resident, w)
 		s.occ[1]--
 		v.free++
@@ -102,8 +103,8 @@ func TestPartitionedDonorSteal(t *testing.T) {
 	if victim == core.NoPage {
 		t.Fatal("expected a stolen victim from core 0's part")
 	}
-	if owner, ok := s.partOf[victim]; ok && owner == 0 {
-		t.Fatal("victim should have been removed from ownership map")
+	if owner, ok := s.Owner(victim); ok && owner == 0 {
+		t.Fatal("victim should have been removed from the owner table")
 	}
 	if s.occ[0] != 2 || s.occ[1] != 1 {
 		t.Fatalf("occupancies after steal: %v", s.occ)

@@ -26,7 +26,7 @@ type Partitioned struct {
 	name string
 
 	parts  []cache.Policy
-	partOf map[core.PageID]int
+	partOf []int32 // owning part by page ID, -1 for none
 	occ    []int
 	quota  []int // aliases ctrl.Quota(); nil = occupancy-driven
 	vf     viewFuncs
@@ -86,10 +86,8 @@ func (s *Partitioned) Init(inst core.Instance) error {
 			s.parts[j].Resize(inst.P.K)
 		}
 	}
-	if s.partOf == nil {
-		s.partOf = make(map[core.PageID]int)
-	} else {
-		clear(s.partOf)
+	for i := range s.partOf {
+		s.partOf[i] = -1
 	}
 	if len(s.occ) != p {
 		s.occ = make([]int, p)
@@ -108,8 +106,23 @@ func (s *Partitioned) Occ(j int) int { return s.occ[j] }
 
 // Owner implements PartView.
 func (s *Partitioned) Owner(p core.PageID) (int, bool) {
-	j, ok := s.partOf[p]
-	return j, ok
+	if uint(p) >= uint(len(s.partOf)) || s.partOf[p] < 0 {
+		return 0, false
+	}
+	return int(s.partOf[p]), true
+}
+
+// setOwner records part j as p's owner, growing the table to cover p.
+func (s *Partitioned) setOwner(p core.PageID, j int) {
+	if int(p) >= len(s.partOf) {
+		partOf := make([]int32, max(2*len(s.partOf), int(p)+1, 16))
+		copy(partOf, s.partOf)
+		for i := len(s.partOf); i < len(partOf); i++ {
+			partOf[i] = -1
+		}
+		s.partOf = partOf
+	}
+	s.partOf[p] = int32(j)
 }
 
 // PartSizes returns the current partition (cells owned per core).
@@ -134,7 +147,7 @@ func (s *Partitioned) Sizes() []int { return append([]int(nil), s.ctrl.Quota()..
 //
 //mcpaging:hotpath
 func (s *Partitioned) OnHit(p core.PageID, at cache.Access) {
-	if j, ok := s.partOf[p]; ok {
+	if j, ok := s.Owner(p); ok {
 		s.parts[j].Touch(p, at)
 	}
 	s.ctrl.Hit(p, at)
@@ -144,7 +157,7 @@ func (s *Partitioned) OnHit(p core.PageID, at cache.Access) {
 //
 //mcpaging:hotpath
 func (s *Partitioned) OnJoin(p core.PageID, at cache.Access) {
-	if j, ok := s.partOf[p]; ok {
+	if j, ok := s.Owner(p); ok {
 		s.parts[j].Touch(p, at)
 	}
 	s.ctrl.Join(p, at)
@@ -205,7 +218,7 @@ func (s *Partitioned) OnFault(p core.PageID, at cache.Access, v sim.View) core.P
 			}
 		}
 		victim = w
-		delete(s.partOf, w)
+		s.partOf[w] = -1
 		if d != j {
 			s.occ[d]--
 			s.occ[j]++
@@ -213,7 +226,7 @@ func (s *Partitioned) OnFault(p core.PageID, at cache.Access, v sim.View) core.P
 		s.ctrl.Evicted(w)
 	}
 	s.parts[j].Insert(p, at)
-	s.partOf[p] = j
+	s.setOwner(p, j)
 	s.ctrl.Inserted(j, p, at)
 	return victim
 }
@@ -248,7 +261,7 @@ func (s *Partitioned) OnTick(t int64, v sim.View) []core.PageID {
 			if !ok {
 				break // in-flight pages; retried next tick
 			}
-			delete(s.partOf, w)
+			s.partOf[w] = -1
 			s.occ[j]--
 			s.ctrl.Evicted(w)
 			out = append(out, w)
@@ -309,7 +322,7 @@ func (s *Partitioned) SurrenderOne(v sim.View) (core.PageID, bool) {
 			skip[best] = true
 			continue
 		}
-		delete(s.partOf, w)
+		s.partOf[w] = -1
 		s.occ[best]--
 		s.ctrl.Evicted(w)
 		return w, true

@@ -21,7 +21,7 @@ import (
 )
 
 // bindOracle attaches the simulator view (which implements cache.Oracle)
-// to policies that want future knowledge, such as FITF.
+// to policies that want it, such as FITF and TinyLFU.
 func bindOracle(p cache.Policy, v sim.View) {
 	if ou, ok := p.(cache.OracleUser); ok {
 		ou.SetOracle(oracleView{v})
@@ -31,7 +31,8 @@ func bindOracle(p cache.Policy, v sim.View) {
 // oracleView adapts sim.View to cache.Oracle.
 type oracleView struct{ v sim.View }
 
-func (o oracleView) NextUse(p core.PageID) int64 { return o.v.NextUse(p) }
+func (o oracleView) NextUse(p core.PageID) int64        { return o.v.NextUse(p) }
+func (o oracleView) Original(p core.PageID) core.PageID { return o.v.Original(p) }
 
 // residentOnly returns the evictability predicate for a view: only pages
 // whose fetch has completed may be evicted.

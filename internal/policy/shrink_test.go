@@ -40,7 +40,8 @@ func (c *scriptController) Capacity(int, int64) bool { return false }
 // zeroOracle mirrors what a FITF part sees through fakeView (NextUse 0).
 type zeroOracle struct{}
 
-func (zeroOracle) NextUse(core.PageID) int64 { return 0 }
+func (zeroOracle) NextUse(core.PageID) int64          { return 0 }
+func (zeroOracle) Original(p core.PageID) core.PageID { return p }
 
 // TestShrinkSurrendersPolicyVictim is the partition-contract property
 // test: for every eviction policy, shrinking a part by one cell at a
@@ -110,7 +111,7 @@ func TestShrinkSurrendersPolicyVictim(t *testing.T) {
 			if s.occ[0] != 2 || s.occ[1] != 3 {
 				t.Fatalf("occupancies after shrink: %v", s.occ)
 			}
-			if _, owned := s.partOf[out[0]]; owned {
+			if _, owned := s.Owner(out[0]); owned {
 				t.Fatalf("surrendered page %d still owned", out[0])
 			}
 		})

@@ -10,6 +10,7 @@ import (
 	"mcpaging/internal/policy"
 	"mcpaging/internal/sim"
 	"mcpaging/internal/trace"
+	"mcpaging/internal/workload"
 )
 
 // benchShape is one workload of the serve-path benchmark matrix.
@@ -175,4 +176,53 @@ func BenchmarkSimStream(b *testing.B) {
 		}
 	}
 	b.ReportMetric(n*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// BenchmarkSimBind measures Runner.Bind plus Release, the per-job
+// stage between strategy build and the serve loop, on generated
+// workloads whose sparse IDs the engine renames: the sweep shape (4 ×
+// 12 500 zipf) and the job-trace shape (8 × 12 500 phased, 10% shared
+// pages). The rename arm alternates between two sets of the shape, so
+// every bind renames; the same arm rebinds the set the runner holds,
+// as a sweep's next cell does.
+func BenchmarkSimBind(b *testing.B) {
+	shapes := []struct {
+		name string
+		spec workload.Spec
+	}{
+		{"sweep", workload.Spec{Kind: workload.Zipf, Cores: 4, Length: 12500, Pages: 512}},
+		{"trace", workload.Spec{Kind: workload.Phased, Cores: 8, Length: 12500, Pages: 256, SharedFrac: 0.1}},
+	}
+	for _, sh := range shapes {
+		var sets [2]core.RequestSet
+		for i := range sets {
+			spec := sh.spec
+			spec.Seed = int64(i + 1)
+			rs, err := workload.Generate(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sets[i] = rs
+		}
+		for _, arm := range []struct {
+			name   string
+			stride int
+		}{{"rename", 1}, {"same", 0}} {
+			b.Run(sh.name+"/"+arm.name, func(b *testing.B) {
+				rn, err := sim.NewRunner(sets[0])
+				if err != nil {
+					b.Fatal(err)
+				}
+				rn.Release()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := rn.Bind(sets[(i+1)*arm.stride%2]); err != nil {
+						b.Fatal(err)
+					}
+					rn.Release()
+				}
+			})
+		}
+	}
 }

@@ -4,25 +4,29 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mcpaging/internal/cache"
 	"mcpaging/internal/core"
 	"mcpaging/internal/policy"
 	"mcpaging/internal/sim"
+	"mcpaging/internal/workload"
 )
 
 func fitf() cache.Factory { return func() cache.Policy { return cache.NewFITF() } }
 
 // diffStrategies builds the strategy set exercised by the differential
-// tests: one recency-based shared strategy, one static partition, and the
+// tests: one recency-based shared strategy, one static partition, the
 // oracle-driven FITF (which stresses NextUse and the ID-visibility
-// contract — its tie-break depends on raw page IDs).
+// contract — its tie-break compares page IDs), and TinyLFU, whose
+// sketch hashes each page's original ID through View.Original.
 func diffStrategies(k, p int) []func() sim.Strategy {
 	return []func() sim.Strategy{
 		func() sim.Strategy { return policy.NewShared(lru()) },
 		func() sim.Strategy { return policy.NewStatic(policy.EvenSizes(k, p), lru()) },
 		func() sim.Strategy { return policy.NewShared(fitf()) },
+		func() sim.Strategy { return policy.NewShared(func() cache.Policy { return cache.NewTinyLFU() }) },
 	}
 }
 
@@ -65,8 +69,9 @@ func randomInstance(rng *rand.Rand, i int) core.Instance {
 // dense-ID engine (sim.Run) and the retained map-based reference engine
 // (sim.RunReference) and requires identical results and identical event
 // streams — same times, cores, pages, fault/join flags, and victims, in
-// the same order. This is the event-for-event proof that renumbering and
-// the flat ground-truth tables are invisible to strategies and observers.
+// the same order. This is the event-for-event proof that the engine's
+// renaming and flat ground-truth tables are invisible to observers and
+// change no strategy's decisions.
 func TestDenseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 100; i++ {
@@ -127,6 +132,124 @@ func TestRunnerReuse(t *testing.T) {
 						i, si, rep, first, res)
 				}
 			}
+		}
+	}
+}
+
+// TestRunnerRebindRenamedSets binds one Runner to a sequence of sets: a
+// sparse one it renames, an equal copy (the rebind reuses the renamed
+// tables), a copy differing only in its last request, and a dense set
+// after which the renamed tables are reused again. Every run must match
+// the reference event for event.
+func TestRunnerRebindRenamedSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	a := core.Instance{R: make(core.RequestSet, 2), P: core.Params{K: 5, Tau: 2}}
+	d := core.Instance{R: make(core.RequestSet, 2), P: core.Params{K: 4, Tau: 1}}
+	for c := range a.R {
+		for i := 0; i < 40; i++ {
+			a.R[c] = append(a.R[c], core.PageID(50000000+1000003*rng.Intn(10)))
+			d.R[c] = append(d.R[c], core.PageID(rng.Intn(10)))
+		}
+	}
+	b := core.Instance{R: a.R.Clone(), P: a.P}
+	b.R[1][39] = 50000000 + 1000003*99 // a page a never requests
+	rn := new(sim.Runner)
+	for step, in := range []core.Instance{a, {R: a.R.Clone(), P: a.P}, b, d, b, a, a} {
+		if err := rn.Bind(in.R); err != nil {
+			t.Fatal(err)
+		}
+		for si, mk := range diffStrategies(in.P.K, in.R.NumCores()) {
+			var got, want []sim.Event
+			if _, err := rn.Run(in.P, mk(), func(e sim.Event) { got = append(got, e) }); err != nil {
+				t.Fatalf("step %d strat %d: %v", step, si, err)
+			}
+			if _, err := sim.RunReference(in, mk(), func(e sim.Event) { want = append(want, e) }); err != nil {
+				t.Fatalf("step %d strat %d: reference: %v", step, si, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d strat %d: event streams differ (%d vs %d events)", step, si, len(got), len(want))
+			}
+		}
+		rn.Release()
+	}
+}
+
+// initProbe records a copy of the request set its strategy's Init
+// receives.
+type initProbe struct {
+	sim.Strategy
+	got core.RequestSet
+}
+
+func (ip *initProbe) Init(inst core.Instance) error {
+	ip.got = inst.R.Clone()
+	return ip.Strategy.Init(inst)
+}
+
+// TestBindPathByDistinctCount binds inputs whose max page ID lies in
+// [1024, 2n), where the distinct-page count decides whether the engine
+// renames. A job-shaped generated set (4 × 25 000 zipf requests, 512
+// pages per core at j·2^16, so max ID ≈ 197K < 2n = 200K) and a set
+// whose max ID is exactly twice its distinct count must reach Init in
+// rank order; a set whose max ID is one step below that bound must
+// reach it unchanged.
+func TestBindPathByDistinctCount(t *testing.T) {
+	job, err := workload.Generate(workload.Spec{Kind: workload.Zipf, Cores: 4, Length: 25000, Pages: 512, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// evens(from, m, reps): core 0 gets the first m/2 even IDs from
+	// `from`, core 1 the rest, each requested reps times.
+	evens := func(from, m, reps int) core.RequestSet {
+		rs := make(core.RequestSet, 2)
+		for r := 0; r < reps; r++ {
+			for i := 0; i < m; i++ {
+				rs[2*i/m] = append(rs[2*i/m], core.PageID(from+2*i))
+			}
+		}
+		return rs
+	}
+	rn := new(sim.Runner)
+	for _, tc := range []struct {
+		name    string
+		rs      core.RequestSet
+		renamed bool
+	}{
+		{"job", job, true},
+		{"dense", evens(0, 3000, 1), false}, // max 5998 = 2·3000 − 2
+		{"sparse", evens(2, 3000, 2), true}, // max 6000 = 2·3000
+		{"job again", job, true},
+	} {
+		var distinct []core.PageID
+		for _, seq := range tc.rs {
+			distinct = append(distinct, seq...)
+		}
+		slices.Sort(distinct)
+		distinct = slices.Compact(distinct)
+		maxID := distinct[len(distinct)-1]
+		if n := tc.rs.TotalLen(); maxID < 1024 || int(maxID) >= 2*n {
+			t.Fatalf("%s: max ID %d outside [1024, %d)", tc.name, maxID, 2*n)
+		}
+		if err := rn.Bind(tc.rs); err != nil {
+			t.Fatal(err)
+		}
+		probe := &initProbe{Strategy: policy.NewShared(lru())}
+		if _, err := rn.Run(core.Params{K: 64, Tau: 2}, probe, nil); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		rn.Release()
+		want := tc.rs
+		if tc.renamed {
+			want = tc.rs.Clone()
+			for _, seq := range want {
+				for i, pg := range seq {
+					r, _ := slices.BinarySearch(distinct, pg)
+					seq[i] = core.PageID(r)
+				}
+			}
+		}
+		if !reflect.DeepEqual(probe.got, want) {
+			t.Errorf("%s (%d distinct, max ID %d): Init's instance is not the input (renamed: %v)", tc.name, len(distinct), maxID, tc.renamed)
 		}
 	}
 }

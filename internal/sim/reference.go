@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mcpaging/internal/cache"
 	"mcpaging/internal/core"
@@ -11,7 +12,10 @@ import (
 // RunReference simulates strategy s on the instance using the original
 // map-based engine. It is semantically identical to Run but keeps all
 // ground truth in hash maps keyed by the instance's own page IDs, with no
-// renumbering and no state reuse.
+// state reuse. Only the strategy boundary is renamed, by the same rule
+// as Run (rank order, unless the input is already dense) but with its
+// own sort-and-search code, so strategies see the same IDs from both
+// engines and the differential tests check the engine's renaming.
 //
 // It exists as an executable specification: the dense-ID fast path of Run
 // is checked against it event for event by TestDenseMatchesReference
@@ -28,9 +32,6 @@ func RunReference(inst core.Instance, s Strategy, obs Observer) (Result, error) 
 	if err := inst.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := s.Init(inst); err != nil {
-		return Result{}, fmt.Errorf("sim: strategy %s init: %w", s.Name(), err)
-	}
 	p := inst.R.NumCores()
 	e := &refEngine{
 		k:       inst.P.K,
@@ -39,6 +40,20 @@ func RunReference(inst core.Instance, s Strategy, obs Observer) (Result, error) 
 		idx:     make([]int, p),
 		readyAt: make(map[core.PageID]int64),
 		occ:     make(map[core.PageID]*refOccInfo),
+		names:   refNames(inst.R),
+	}
+	named := inst
+	if e.names != nil {
+		named.R = make(core.RequestSet, p)
+		for c, seq := range inst.R {
+			named.R[c] = make(core.Sequence, len(seq))
+			for i, pg := range seq {
+				named.R[c][i] = e.rank(pg)
+			}
+		}
+	}
+	if err := s.Init(named); err != nil {
+		return Result{}, fmt.Errorf("sim: strategy %s init: %w", s.Name(), err)
 	}
 	for c, seq := range inst.R {
 		for i, pg := range seq {
@@ -99,11 +114,12 @@ func RunReference(inst core.Instance, s Strategy, obs Observer) (Result, error) 
 				}
 			}
 			for e.used > e.k {
-				v, ok := ca.SurrenderOne(e)
+				sv, ok := ca.SurrenderOne(e)
 				if !ok {
 					break
 				}
-				if err := e.evict(v, t); err != nil {
+				v, err := e.evict(sv, t)
+				if err != nil {
 					return res, fmt.Errorf("sim: strategy %s capacity shed: %w", s.Name(), err)
 				}
 				res.CapacityEvictions++
@@ -114,8 +130,9 @@ func RunReference(inst core.Instance, s Strategy, obs Observer) (Result, error) 
 		}
 
 		if ticker != nil {
-			for _, v := range ticker.OnTick(t, e) {
-				if err := e.evict(v, t); err != nil {
+			for _, sv := range ticker.OnTick(t, e) {
+				v, err := e.evict(sv, t)
+				if err != nil {
 					return res, fmt.Errorf("sim: strategy %s voluntary eviction: %w", s.Name(), err)
 				}
 				res.VoluntaryEvictions++
@@ -133,18 +150,19 @@ func RunReference(inst core.Instance, s Strategy, obs Observer) (Result, error) 
 			at := cache.Access{Core: c, Time: t, Index: e.idx[c]}
 			ev := Event{Time: t, Core: c, Index: e.idx[c], Page: pg, Victim: core.NoPage}
 
+			ready, cached := e.readyAt[pg]
 			switch {
-			case e.Resident(pg):
+			case cached && ready <= t:
 				res.Hits[c]++
 				e.idx[c]++
 				e.next[c] = t + 1
-				s.OnHit(pg, at)
-			case e.InFlight(pg):
+				s.OnHit(e.rank(pg), at)
+			case cached:
 				res.Faults[c]++
 				ev.Fault, ev.Join = true, true
 				e.idx[c]++
 				e.next[c] = t + e.tau + 1
-				s.OnJoin(pg, at)
+				s.OnJoin(e.rank(pg), at)
 			default:
 				res.Faults[c]++
 				ev.Fault = true
@@ -152,13 +170,14 @@ func RunReference(inst core.Instance, s Strategy, obs Observer) (Result, error) 
 				// strategy so the oracle sees the post-service state.
 				e.idx[c]++
 				e.next[c] = t + e.tau + 1
-				victim := s.OnFault(pg, at, e)
-				if victim == core.NoPage {
+				sv := s.OnFault(e.rank(pg), at, e)
+				if sv == core.NoPage {
 					if e.used >= e.k {
 						return res, fmt.Errorf("sim: strategy %s requested a free cell but cache is full (t=%d core=%d page=%d)", s.Name(), t, c, pg)
 					}
 				} else {
-					if err := e.evict(victim, t); err != nil {
+					victim, err := e.evict(sv, t)
+					if err != nil {
 						return res, fmt.Errorf("sim: strategy %s: %w", s.Name(), err)
 					}
 					ev.Victim = victim
@@ -199,6 +218,47 @@ type refEngine struct {
 	// occurrence lists for the oracle, one entry per (page, core) pair
 	// that requests it.
 	occ map[core.PageID]*refOccInfo
+
+	// names lists the instance's distinct page IDs in ascending order:
+	// strategy ID i names page names[i]. nil when strategies see the
+	// original IDs.
+	names []core.PageID
+}
+
+// refNames returns the sorted distinct page IDs of rs, or nil when Run
+// would use rs without renaming.
+func refNames(rs core.RequestSet) []core.PageID {
+	var names []core.PageID
+	for _, seq := range rs {
+		names = append(names, seq...)
+	}
+	slices.Sort(names)
+	names = slices.Compact(names)
+	if len(names) == 0 || directIDs(names[len(names)-1], len(names)) {
+		return nil
+	}
+	return names
+}
+
+// rank maps an instance page to the ID strategies see.
+func (e *refEngine) rank(pg core.PageID) core.PageID {
+	if e.names == nil {
+		return pg
+	}
+	i, _ := slices.BinarySearch(e.names, pg)
+	return core.PageID(i)
+}
+
+// original maps a strategy ID back to the instance page; ok is false
+// for IDs that name no page of a renamed instance.
+func (e *refEngine) original(p core.PageID) (core.PageID, bool) {
+	if e.names == nil {
+		return p, true
+	}
+	if p < 0 || int(p) >= len(e.names) {
+		return p, false
+	}
+	return e.names[p], true
 }
 
 // refOccInfo indexes a page's occurrences per referencing core.
@@ -211,19 +271,35 @@ type refOccInfo struct {
 var _ View = (*refEngine)(nil)
 var _ cache.Oracle = (*refEngine)(nil)
 
+// ready looks up the fetch-completion time of the page a strategy names
+// by p.
+func (e *refEngine) ready(p core.PageID) (int64, bool) {
+	o, ok := e.original(p)
+	if !ok {
+		return 0, false
+	}
+	r, ok := e.readyAt[o]
+	return r, ok
+}
+
 func (e *refEngine) Resident(p core.PageID) bool {
-	r, ok := e.readyAt[p]
+	r, ok := e.ready(p)
 	return ok && r <= e.now
 }
 
 func (e *refEngine) InFlight(p core.PageID) bool {
-	r, ok := e.readyAt[p]
+	r, ok := e.ready(p)
 	return ok && r > e.now
 }
 
 func (e *refEngine) Cached(p core.PageID) bool {
-	_, ok := e.readyAt[p]
+	_, ok := e.ready(p)
 	return ok
+}
+
+func (e *refEngine) Original(p core.PageID) core.PageID {
+	o, _ := e.original(p)
+	return o
 }
 
 // Free clamps at zero: while a shrink's shed is blocked on in-flight
@@ -236,7 +312,11 @@ func (e *refEngine) Now() int64 { return e.now }
 // NextUse implements the FITF oracle exactly as documented on
 // engine.NextUse, over the map-backed occurrence index.
 func (e *refEngine) NextUse(p core.PageID) int64 {
-	info, ok := e.occ[p]
+	o, ok := e.original(p)
+	if !ok {
+		return cache.NeverUsed
+	}
+	info, ok := e.occ[o]
 	if !ok {
 		return cache.NeverUsed
 	}
@@ -261,17 +341,18 @@ func (e *refEngine) NextUse(p core.PageID) int64 {
 	return best
 }
 
-// evict removes a resident page from ground truth, validating the
-// paper's eviction rules.
-func (e *refEngine) evict(v core.PageID, t int64) error {
+// evict removes the page a strategy names by sv from ground truth,
+// validating the paper's eviction rules, and returns its instance ID.
+func (e *refEngine) evict(sv core.PageID, t int64) (core.PageID, error) {
+	v, named := e.original(sv)
 	r, ok := e.readyAt[v]
-	if !ok {
-		return fmt.Errorf("evict of non-cached page %d at t=%d", v, t)
+	if !named || !ok {
+		return v, fmt.Errorf("evict of non-cached page %d at t=%d", v, t)
 	}
 	if r > t {
-		return fmt.Errorf("evict of in-flight page %d at t=%d (ready at %d)", v, t, r)
+		return v, fmt.Errorf("evict of in-flight page %d at t=%d (ready at %d)", v, t, r)
 	}
 	delete(e.readyAt, v)
 	e.used--
-	return nil
+	return v, nil
 }

@@ -33,14 +33,21 @@
 // The engine keeps all ground truth in flat arrays indexed by page ID:
 // residency is a single []int64 of fetch-completion times and the FITF
 // oracle reads a flat occurrence table built in one pass over the input.
-// Inputs whose page IDs are already dense (bounded by a small multiple of
-// the total request count — every generated workload and every renumbered
-// trace) are used as-is. Sparser inputs are transparently renumbered on
-// entry; the engine then translates IDs at the strategy and observer
-// boundary, so strategies and observers always see the instance's
-// original page IDs and behave identically either way. RunReference
-// retains the original map-based engine as an executable specification
-// for differential tests.
+// Inputs whose page IDs are already dense (max ID below 1024 or below
+// twice the distinct-page count — renumbered traces, the adversarial
+// and offline constructions) are used as-is. Sparser inputs, such as
+// generated workloads with per-core namespaces, are renamed once on
+// bind: each page becomes its rank among the instance's distinct IDs.
+//
+// Strategies see the engine's dense IDs everywhere: the instance Init
+// receives, the pages of OnHit, OnJoin and OnFault, the victims they
+// return, and every View call. Rank order keeps every comparison
+// between page IDs, so tie-breaks on IDs behave exactly as on the
+// original instance; a policy whose behaviour depends on the ID value
+// itself reads it through View.Original. Events, observers and error
+// messages carry the instance's original IDs. RunReference retains the
+// original map-based engine as an executable specification for
+// differential tests.
 package sim
 
 import (
@@ -48,6 +55,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"mcpaging/internal/cache"
@@ -58,12 +67,24 @@ import (
 // combination of a (possibly trivial) partition policy and an eviction
 // policy. The simulator owns ground truth (residency, fetch state, free
 // cells); the strategy owns replacement metadata and decides victims.
+//
+// Every page ID a strategy sees or returns is the engine's dense ID:
+// the rank of the page among the instance's distinct IDs, or the
+// original ID when the input is already dense (see the package
+// comment). A strategy that derives its page knowledge from the
+// instance passed to Init is correct either way. One that carries page
+// IDs from outside the run — offline.Replayer's schedule,
+// npc.Constructive's partition — relies on its instances taking the
+// direct path, which every instance small enough for those solvers
+// does.
 type Strategy interface {
 	// Name identifies the strategy in tables, e.g. "S(LRU)" or
 	// "sP[4 4](LRU)".
 	Name() string
 	// Init prepares the strategy for a fresh run of the given instance.
 	// Strategies that need future knowledge receive the full instance.
+	// The instance may be the runner's own renamed copy, which a later
+	// bind rewrites in place: it is valid only until the run returns.
 	Init(inst core.Instance) error
 	// OnHit reports that page p hit at the given access.
 	OnHit(p core.PageID, at cache.Access)
@@ -121,8 +142,9 @@ type CapacityAware interface {
 }
 
 // View is the read-only window a strategy gets on simulator ground truth.
-// All page IDs cross this interface in the instance's original ID space,
-// even when the engine has renumbered internally.
+// Page IDs cross this interface in the engine's dense ID space, like
+// every other strategy call; pages outside the instance are never
+// resident and never used.
 type View interface {
 	// Resident reports whether p is in cache with its fetch complete.
 	Resident(p core.PageID) bool
@@ -142,11 +164,17 @@ type View interface {
 	// is next requested under the current alignment, or cache.NeverUsed
 	// if p has no future request. This is the oracle used by FITF.
 	NextUse(p core.PageID) int64
+	// Original returns the instance's own ID for dense page p (p itself
+	// when the input took the direct path). Strategies compare and
+	// index by dense IDs; only behaviour that depends on the ID value,
+	// such as TinyLFU's sketch hash, needs the original.
+	Original(p core.PageID) core.PageID
 }
 
 // Event describes one served request — or, when Tick is set, one
 // voluntary eviction — for observers and tests. Page and Victim are
-// always in the instance's original ID space.
+// always in the instance's original ID space: the engine translates
+// its dense IDs back, and only when an observer is attached.
 //
 // Tick events are emitted for pages evicted via Ticker.OnTick, before
 // any request of the same step is served. They carry Core = -1 and
@@ -249,9 +277,9 @@ func (r Result) TotalHits() int64 {
 const notCached int64 = 0
 
 // engine is the dense-ID simulator state for one run. Ground truth is
-// indexed by dense page IDs 0..w-1; fwd/inv translate to and from the
-// instance's original IDs when the input needed renumbering (both are nil
-// on the direct path, where dense IDs are the original IDs).
+// indexed by dense page IDs 0..w-1; inv translates them back to the
+// instance's original IDs when the input was renamed (nil on the direct
+// path, where dense IDs are the original IDs).
 type engine struct {
 	k    int
 	tau  int64
@@ -273,8 +301,7 @@ type engine struct {
 
 	readyAt []int64 // per dense page: fetch completion time, notCached if absent
 
-	fwd map[core.PageID]core.PageID // original → dense (nil when direct)
-	inv []core.PageID               // dense → original (nil when direct)
+	inv []core.PageID // dense → original (nil when direct)
 
 	// Flat occurrence table for the oracle. The pairs of page pg occupy
 	// slotStart[pg]..slotStart[pg+1]-1, one per core that requests pg, in
@@ -302,52 +329,46 @@ type engine struct {
 	lastCore []int32
 	slotCur  []int32
 	posCur   []int32
+	bits     []uint64 // distinct-page bitset of the direct-path check
 
-	denseSeqs []core.Sequence // backing store for renumbered sequences
+	// The renamed tables: names maps rank → original ID and denseSeqs
+	// holds the renamed sequences. Both are runner-owned and outlive
+	// Release and direct binds, so a rebind to the set they hold reuses
+	// them. first, keys and rank are scratch for building them, reused
+	// by rebinds without a Release in between and dropped by Release.
+	names     []core.PageID
+	denseSeqs []core.Sequence
+	first     map[core.PageID]core.PageID
+	keys      []uint64
+	rank      []core.PageID
 }
 
 var _ View = (*engine)(nil)
 var _ cache.Oracle = (*engine)(nil)
 
-// denseID maps an original page ID to the engine's dense ID space. ok is
-// false for pages outside the instance's universe.
+// known reports whether p is a dense page of the bound instance.
 //
 //mcpaging:hotpath
-func (e *engine) denseID(p core.PageID) (core.PageID, bool) {
-	if e.fwd != nil {
-		dp, ok := e.fwd[p]
-		return dp, ok
-	}
-	if p < 0 || int(p) >= e.w {
-		return 0, false
-	}
-	return p, true
-}
+func (e *engine) known(p core.PageID) bool { return uint(p) < uint(len(e.readyAt)) }
 
 //mcpaging:hotpath
 func (e *engine) Resident(p core.PageID) bool {
-	dp, ok := e.denseID(p)
-	if !ok {
+	if !e.known(p) {
 		return false
 	}
-	r := e.readyAt[dp]
+	r := e.readyAt[p]
 	return r != notCached && r <= e.now
 }
 
 //mcpaging:hotpath
 func (e *engine) InFlight(p core.PageID) bool {
-	dp, ok := e.denseID(p)
-	if !ok {
-		return false
-	}
 	// notCached is 0 and now ≥ 0, so absent pages never satisfy this.
-	return e.readyAt[dp] > e.now
+	return e.known(p) && e.readyAt[p] > e.now
 }
 
 //mcpaging:hotpath
 func (e *engine) Cached(p core.PageID) bool {
-	dp, ok := e.denseID(p)
-	return ok && e.readyAt[dp] != notCached
+	return e.known(p) && e.readyAt[p] != notCached
 }
 
 // Free reports unoccupied cells, clamped at zero: after a capacity
@@ -363,6 +384,16 @@ func (e *engine) K() int     { return e.k }
 func (e *engine) Tau() int   { return int(e.tau) }
 func (e *engine) Now() int64 { return e.now }
 
+// Original maps a dense ID back to the instance's ID. IDs outside the
+// dense universe (NoPage, or a bad victim named in an error) are
+// returned unchanged.
+func (e *engine) Original(p core.PageID) core.PageID {
+	if e.inv != nil && uint(p) < uint(len(e.inv)) {
+		return e.inv[p]
+	}
+	return p
+}
+
 // NextUse implements the FITF oracle: a lower bound on the absolute time
 // of p's next request. For core c whose next unserved request has index
 // idx[c], the occurrence of p at index i ≥ idx[c] can be served no
@@ -371,8 +402,7 @@ func (e *engine) Now() int64 { return e.now }
 //
 //mcpaging:hotpath
 func (e *engine) NextUse(p core.PageID) int64 {
-	dp, ok := e.denseID(p)
-	if !ok {
+	if !e.known(p) {
 		return cache.NeverUsed
 	}
 	if !e.occBuilt {
@@ -380,7 +410,7 @@ func (e *engine) NextUse(p core.PageID) int64 {
 		e.occBuilt = true
 	}
 	best := cache.NeverUsed
-	for s := e.slotStart[dp]; s < e.slotStart[dp+1]; s++ {
+	for s := e.slotStart[p]; s < e.slotStart[p+1]; s++ {
 		c := e.pairCore[s]
 		idx := int32(e.idx[c])
 		// Advance this pair's cursor past already-served occurrences.
@@ -400,22 +430,19 @@ func (e *engine) NextUse(p core.PageID) int64 {
 	return best
 }
 
-// evictOriginal removes a resident page (named by its original ID) from
-// ground truth, validating the paper's eviction rules.
+// evict removes a resident page (named by its dense ID) from ground
+// truth, validating the paper's eviction rules. Errors name the page by
+// its original ID.
 //
 //mcpaging:hotpath
-func (e *engine) evictOriginal(v core.PageID, t int64) error {
-	dv, ok := e.denseID(v)
-	if ok && e.readyAt[dv] == notCached {
-		ok = false
+func (e *engine) evict(v core.PageID, t int64) error {
+	if !e.known(v) || e.readyAt[v] == notCached {
+		return fmt.Errorf("evict of non-cached page %d at t=%d", e.Original(v), t)
 	}
-	if !ok {
-		return fmt.Errorf("evict of non-cached page %d at t=%d", v, t)
+	if r := e.readyAt[v]; r > t {
+		return fmt.Errorf("evict of in-flight page %d at t=%d (ready at %d)", e.Original(v), t, r)
 	}
-	if r := e.readyAt[dv]; r > t {
-		return fmt.Errorf("evict of in-flight page %d at t=%d (ready at %d)", v, t, r)
-	}
-	e.readyAt[dv] = notCached
+	e.readyAt[v] = notCached
 	e.used--
 	return nil
 }
@@ -447,15 +474,17 @@ func (e *engine) reset(p core.Params) {
 	}
 }
 
-// densePageLimit is the bound on max page ID below which an input is used
-// without renumbering: a small multiple of the request count so that the
-// flat arrays stay proportional to the input size.
-func densePageLimit(n int) int {
-	limit := 2 * n
-	if limit < 1024 {
-		limit = 1024
-	}
-	return limit
+// smallIDs bounds the page IDs an input may use without renaming
+// whatever its distinct-page count.
+const smallIDs = 1024
+
+// directIDs reports whether an input with the given max page ID and
+// distinct-page count is used without renaming: its IDs are small, or
+// dense enough that arrays indexed by them stay proportional to the
+// instance. RunReference applies the same rule, so strategies see the
+// same IDs from both engines.
+func directIDs(maxID core.PageID, distinct int) bool {
+	return maxID < smallIDs || int(maxID) < 2*distinct
 }
 
 // Runner owns reusable simulation state for one request set: the dense
@@ -466,8 +495,7 @@ func densePageLimit(n int) int {
 // Runner is not safe for concurrent use — give each worker its own. The
 // request set must not be mutated while the Runner is in use.
 type Runner struct {
-	rs core.RequestSet
-	e  engine
+	e engine
 	// ca is the current run's CapacityAware view of the strategy (nil
 	// for fixed-capacity runs), held here so the capacity cold path
 	// reaches it without widening its signature.
@@ -485,56 +513,148 @@ func NewRunner(rs core.RequestSet) (*Runner, error) {
 }
 
 // bind points the runner at a request set, rebuilding the dense tables
-// while reusing array capacity from previous binds.
+// while reusing array capacity from previous binds. A set equal to the
+// one the renamed tables hold is not renamed again.
 func (r *Runner) bind(rs core.RequestSet) error {
-	if err := rs.Validate(); err != nil {
-		return err
-	}
-	r.rs = rs
 	e := &r.e
+	if e.holds(rs) {
+		e.use(e.denseSeqs, e.names, len(e.names), rs.TotalLen())
+		return nil
+	}
+	maxID, ok := maxPage(rs)
+	if !ok {
+		return rs.Validate()
+	}
 	n := rs.TotalLen()
-	maxID := core.PageID(-1)
+	// Below 2n the distinct count decides; at or above it, the input is
+	// sparse whatever the count, since n bounds it.
+	distinct := n
+	if maxID >= smallIDs && int(maxID) < 2*n {
+		distinct = e.countDistinct(rs, maxID)
+	}
+	if directIDs(maxID, distinct) {
+		e.use(rs, nil, int(maxID)+1, n)
+	} else {
+		e.rename(rs)
+		e.use(e.denseSeqs, e.names, len(e.names), n)
+	}
+	return nil
+}
+
+// maxPage returns the largest page ID of rs; ok is false when rs fails
+// Validate (no cores, or a negative page).
+func maxPage(rs core.RequestSet) (maxID core.PageID, ok bool) {
+	maxID = -1
+	minID := core.PageID(0)
 	for _, seq := range rs {
 		for _, pg := range seq {
-			if pg > maxID {
-				maxID = pg
-			}
+			maxID = max(maxID, pg)
+			minID = min(minID, pg)
 		}
 	}
-	if int(maxID) < densePageLimit(n) {
-		// Direct path: the input's own IDs index the flat arrays.
-		e.fwd, e.inv = nil, nil
-		e.seqs = rs
-		e.w = int(maxID) + 1
+	return maxID, len(rs) > 0 && minID >= 0
+}
+
+// countDistinct counts the distinct pages of rs, all in [0, maxID], in
+// a bitset reused across binds.
+func (e *engine) countDistinct(rs core.RequestSet, maxID core.PageID) int {
+	e.bits = growSlice(e.bits, int(maxID)/64+1)
+	clear(e.bits)
+	for _, seq := range rs {
+		for _, pg := range seq {
+			e.bits[pg/64] |= 1 << (pg % 64)
+		}
+	}
+	distinct := 0
+	for _, b := range e.bits {
+		distinct += bits.OnesCount64(b)
+	}
+	return distinct
+}
+
+// rename builds the renamed tables for rs: each page becomes its rank
+// among the distinct IDs. One map pass numbers pages by first
+// appearance; sorting the distinct IDs then turns first-appearance
+// numbers into ranks with array lookups only.
+func (e *engine) rename(rs core.RequestSet) {
+	if e.first == nil {
+		e.first = make(map[core.PageID]core.PageID, 64)
 	} else {
-		// Renumber on entry: first appearance order, like core.Renumber.
-		e.fwd = make(map[core.PageID]core.PageID, 64)
-		inv := e.inv[:0]
-		e.denseSeqs = e.denseSeqs[:0]
-		for _, seq := range rs {
-			ds := make(core.Sequence, len(seq))
-			for i, pg := range seq {
-				dp, ok := e.fwd[pg]
-				if !ok {
-					dp = core.PageID(len(inv))
-					inv = append(inv, pg)
-					e.fwd[pg] = dp
-				}
-				ds[i] = dp
-			}
-			e.denseSeqs = append(e.denseSeqs, ds)
-		}
-		e.inv = inv
-		e.seqs = e.denseSeqs
-		e.w = len(inv)
+		clear(e.first)
 	}
-	p := len(rs)
+	names := e.names[:0]
+	if cap(e.denseSeqs) < len(rs) {
+		e.denseSeqs = make([]core.Sequence, len(rs))
+	}
+	e.denseSeqs = e.denseSeqs[:len(rs)]
+	for j, seq := range rs {
+		ds := e.denseSeqs[j]
+		if cap(ds) < len(seq) {
+			ds = make(core.Sequence, len(seq))
+		}
+		ds = ds[:len(seq)]
+		for i, pg := range seq {
+			f, ok := e.first[pg]
+			if !ok {
+				f = core.PageID(len(names))
+				names = append(names, pg)
+				e.first[pg] = f
+			}
+			ds[i] = f
+		}
+		e.denseSeqs[j] = ds
+	}
+	// Page IDs are non-negative int32s: (ID << 32 | first) sorts by ID.
+	e.keys = growSlice(e.keys, len(names))
+	for f, pg := range names {
+		e.keys[f] = uint64(pg)<<32 | uint64(f)
+	}
+	slices.Sort(e.keys)
+	e.rank = growSlice(e.rank, len(names))
+	for r, key := range e.keys {
+		e.rank[uint32(key)] = core.PageID(r)
+		names[r] = core.PageID(key >> 32)
+	}
+	for _, ds := range e.denseSeqs {
+		for i, f := range ds {
+			ds[i] = e.rank[f]
+		}
+	}
+	e.names = names
+}
+
+// holds reports whether the renamed tables were built from a set equal
+// to rs. It reads only the runner's own tables, so it works after
+// Release dropped the caller's set.
+func (e *engine) holds(rs core.RequestSet) bool {
+	if len(e.names) == 0 || len(rs) != len(e.denseSeqs) {
+		return false
+	}
+	for j, seq := range rs {
+		ds := e.denseSeqs[j]
+		if len(ds) != len(seq) {
+			return false
+		}
+		for i, pg := range seq {
+			if e.names[ds[i]] != pg {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// use binds the engine to dense sequences over w pages with n requests
+// in total, and their inverse table (nil when they are the input
+// itself), sizing the per-run arrays.
+func (e *engine) use(seqs []core.Sequence, inv []core.PageID, w, n int) {
+	e.seqs, e.inv, e.w = seqs, inv, w
+	p := len(seqs)
 	e.next = growSlice(e.next, p)
 	e.idx = growSlice(e.idx, p)
 	e.readyAt = growSlice(e.readyAt, e.w)
 	e.occBuilt = false
 	e.occN = n
-	return nil
 }
 
 // buildOcc builds the flat occurrence table in two O(n) passes (counting
@@ -604,7 +724,7 @@ func (e *engine) buildOcc(n int) {
 
 // growSlice reslices s to length n, reallocating only when the capacity
 // is insufficient. Contents are unspecified; callers reset what they use.
-func growSlice[T int32 | int64 | int](s []T, n int) []T {
+func growSlice[T ~int32 | ~int64 | ~int | ~uint64](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}
@@ -616,13 +736,16 @@ func growSlice[T int32 | int64 | int](s []T, n int) []T {
 // the rebind half of the Runner-per-worker pattern: a long-lived worker
 // keeps one Runner and Binds it to each incoming workload, so table and
 // per-run allocations amortize across jobs that share nothing but the
-// worker.
+// worker. Binding a set equal to the last one the runner renamed reuses
+// the renamed tables, so a worker running the cells of one sweep
+// renames its request set once.
 func (r *Runner) Bind(rs core.RequestSet) error { return r.bind(rs) }
 
-// Release drops the runner's references to the bound request set (and
-// any renumbered copy of it) while keeping array capacity for the next
-// Bind. Call it when a worker parks the runner between jobs so the
-// workload's memory can be reclaimed.
+// Release drops the runner's references to the bound request set while
+// keeping array capacity for the next Bind. Call it when a worker parks
+// the runner between jobs so the workload's memory can be reclaimed. A
+// renamed set's runner-owned copy stays, so rebinding to an equal set
+// (the next cell of a sweep) skips the rename.
 func (r *Runner) Release() { r.release() }
 
 // cancelCheckEvery is how many served requests pass between context
@@ -653,12 +776,12 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 	if err := params.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := s.Init(core.Instance{R: r.rs, P: params}); err != nil {
+	e := &r.e
+	if err := s.Init(core.Instance{R: e.seqs, P: params}); err != nil {
 		return Result{}, fmt.Errorf("sim: strategy %s init: %w", s.Name(), err)
 	}
-	e := &r.e
 	e.reset(params)
-	p := len(r.rs)
+	p := len(e.seqs)
 	res := Result{
 		Faults: make([]int64, p),
 		Hits:   make([]int64, p),
@@ -666,7 +789,7 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 	}
 	ticker, _ := s.(Ticker)
 	_, repart := s.(Repartitioner)
-	ca, err := checkSchedule(r.rs, s, e.sched)
+	ca, err := checkSchedule(e.seqs, s, e.sched)
 	if err != nil {
 		return res, err
 	}
@@ -704,12 +827,13 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 
 		if ticker != nil {
 			for _, v := range ticker.OnTick(t, e) {
-				if err := e.evictOriginal(v, t); err != nil {
+				if err := e.evict(v, t); err != nil {
 					return res, fmt.Errorf("sim: strategy %s voluntary eviction: %w", s.Name(), err)
 				}
 				res.VoluntaryEvictions++
 				if obs != nil {
-					obs(Event{Time: t, Core: -1, Index: -1, Page: v, Tick: true, Donor: repart, Victim: v})
+					ov := e.Original(v)
+					obs(Event{Time: t, Core: -1, Index: -1, Page: ov, Tick: true, Donor: repart, Victim: ov})
 				}
 			}
 		}
@@ -721,12 +845,8 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 			i := e.idx[c]
 			served++
 			pg := seqs[c][i]
-			op := pg // original ID for strategies and observers
-			if e.inv != nil {
-				op = e.inv[pg]
-			}
 			at := cache.Access{Core: c, Time: t, Index: i}
-			ev := Event{Time: t, Core: c, Index: i, Page: op, Victim: core.NoPage}
+			ev := Event{Time: t, Core: c, Index: i, Page: pg, Victim: core.NoPage}
 
 			ready := e.readyAt[pg]
 			switch {
@@ -734,13 +854,13 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 				res.Hits[c]++
 				e.idx[c] = i + 1
 				e.next[c] = t + 1
-				s.OnHit(op, at)
+				s.OnHit(pg, at)
 			case ready != notCached: // in-flight join
 				res.Faults[c]++
 				ev.Fault, ev.Join = true, true
 				e.idx[c] = i + 1
 				e.next[c] = t + e.tau + 1
-				s.OnJoin(op, at)
+				s.OnJoin(pg, at)
 			default: // fault
 				res.Faults[c]++
 				ev.Fault = true
@@ -748,13 +868,13 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 				// strategy so the oracle sees the post-service state.
 				e.idx[c] = i + 1
 				e.next[c] = t + e.tau + 1
-				victim := s.OnFault(op, at, e)
+				victim := s.OnFault(pg, at, e)
 				if victim == core.NoPage {
 					if e.used >= e.k {
-						return res, fmt.Errorf("sim: strategy %s requested a free cell but cache is full (t=%d core=%d page=%d)", s.Name(), t, c, op)
+						return res, fmt.Errorf("sim: strategy %s requested a free cell but cache is full (t=%d core=%d page=%d)", s.Name(), t, c, e.Original(pg))
 					}
 				} else {
-					if err := e.evictOriginal(victim, t); err != nil {
+					if err := e.evict(victim, t); err != nil {
 						return res, fmt.Errorf("sim: strategy %s: %w", s.Name(), err)
 					}
 					ev.Victim = victim
@@ -766,6 +886,7 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 				res.Finish[c] = e.next[c]
 			}
 			if obs != nil {
+				ev.Page, ev.Victim = e.Original(ev.Page), e.Original(ev.Victim)
 				obs(ev)
 			}
 		}
@@ -833,28 +954,26 @@ func (r *Runner) applyCapacity(t int64, s Strategy, obs Observer, res *Result) e
 		if !ok {
 			break
 		}
-		if err := e.evictOriginal(v, t); err != nil {
+		if err := e.evict(v, t); err != nil {
 			return fmt.Errorf("sim: strategy %s capacity shed: %w", s.Name(), err)
 		}
 		res.CapacityEvictions++
 		if obs != nil {
-			obs(Event{Time: t, Core: -1, Index: -1, Page: v, Victim: v, Tick: true, Capacity: true})
+			ov := e.Original(v)
+			obs(Event{Time: t, Core: -1, Index: -1, Page: ov, Victim: ov, Tick: true, Capacity: true})
 		}
 	}
 	return nil
 }
 
-// release drops references to the caller's request set (and renumbered
-// copies of it) while keeping array capacity for the next bind.
+// release drops references to the caller's request set and the rename
+// scratch (a map keeps its buckets after clear) while keeping array
+// capacity, and the renamed tables, for the next bind.
 func (r *Runner) release() {
-	r.rs = nil
 	r.e.seqs = nil
-	r.e.fwd = nil
 	r.e.sched = nil
+	r.e.first, r.e.keys, r.e.rank = nil, nil, nil
 	r.ca = nil
-	for i := range r.e.denseSeqs {
-		r.e.denseSeqs[i] = nil
-	}
 }
 
 // runnerPool recycles Runner state across Run calls so one-shot runs
@@ -865,10 +984,12 @@ var runnerPool = sync.Pool{New: func() interface{} { return new(Runner) }}
 // strategy is Init-ed first, so a single strategy value can be reused
 // across runs. obs may be nil.
 //
-// Run rebuilds the dense tables for inst.R on every call (into pooled
-// arrays, so steady-state allocation is near zero). Callers that sweep
-// many parameter or strategy combinations over one request set should
-// hold a Runner instead.
+// Run binds a pooled Runner to inst.R on every call (into pooled
+// arrays, so steady-state allocation is near zero). A pooled runner
+// already holding a renamed set equal to inst.R skips the rename, but
+// the bind still reads the whole set. Callers that sweep many parameter
+// or strategy combinations over one request set should hold a Runner
+// instead.
 func Run(inst core.Instance, s Strategy, obs Observer) (Result, error) {
 	//mcvet:ignore ctxflow Run is the documented synchronous wrapper: a caller without a ctx is its own cancellation root
 	return RunContext(context.Background(), inst, s, obs)
