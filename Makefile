@@ -7,9 +7,10 @@ GO ?= go
 
 # Benchmarks the comparison targets track: the simulator serve paths,
 # the batch harness, the mcservd service path (jobs, sweeps, JobKey),
-# plus the root throughput benches.
-BENCH_PATTERN ?= BenchmarkSim|BenchmarkSweepGrid|BenchmarkServe|BenchmarkJobKey
-BENCH_PKGS ?= . ./internal/sim/ ./internal/sweep/ ./internal/server/
+# workload generation (the generate half of Resolve), plus the root
+# throughput benches.
+BENCH_PATTERN ?= BenchmarkSim|BenchmarkSweepGrid|BenchmarkServe|BenchmarkJobKey|BenchmarkGenerate
+BENCH_PKGS ?= . ./internal/sim/ ./internal/sweep/ ./internal/server/ ./internal/workload/
 BENCH_COUNT ?= 5
 
 all: build test lint

@@ -164,6 +164,26 @@ func TestFleetRejectsTraceCapacity(t *testing.T) {
 	}
 }
 
+// TestFleetRejectsUnusableZipf: the gateway resolves a job before it
+// routes it, so zipf parameters that made generation panic took the
+// gateway's handler down with the client reading EOF. They are a 400
+// now, and nothing is routed.
+func TestFleetRejectsUnusableZipf(t *testing.T) {
+	f := newTestFleet(t, []string{newWorker(t, "w1").URL}, DispatcherConfig{}, GatewayConfig{QuotaRate: -1})
+	body := `{"trace":{"workload":{"cores":2,"length":1000,"pages":64,"kind":"zipf","zipf_v":1e15,"seed":1}},"strategy":"S(LRU)","k":8,"tau":1}`
+	resp, err := http.Post(f.ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := readBody(t, resp)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "numerically unusable") {
+		t.Fatalf("status %d, body %q; want 400 naming the unusable parameters", resp.StatusCode, msg)
+	}
+	if f.met.jobs.Load() != 0 {
+		t.Fatalf("a rejected job was routed: jobs=%d", f.met.jobs.Load())
+	}
+}
+
 // TestFleetSweepCacheAffinity reruns a sweep and expects every cell to
 // be a cache hit: consistent-hash routing sent each key back to the
 // worker that computed it, so the per-worker caches act as one

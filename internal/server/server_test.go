@@ -568,6 +568,29 @@ func TestJobValidationErrors(t *testing.T) {
 	}
 }
 
+// TestUnusableZipfIs400: with "zipf_v": 1e15 the Zipf generator drew a
+// rank outside the page range and the handler panicked on the index, so
+// the client read EOF with no status. Generation now fails with an error
+// the handlers report as a 400, for jobs and sweeps alike.
+func TestUnusableZipfIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	const trace = `{"workload":{"cores":2,"length":1000,"pages":64,"kind":"zipf","zipf_v":1e15,"seed":1}}`
+	for path, body := range map[string]string{
+		"/v1/jobs":  `{"trace":` + trace + `,"strategy":"S(LRU)","k":8,"tau":1}`,
+		"/v1/sweep": `{"trace":` + trace + `,"strategies":["S(LRU)"],"ks":[8],"taus":[1]}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "numerically unusable") {
+			t.Fatalf("%s: status %d, body %q; want 400 naming the unusable parameters", path, resp.StatusCode, msg)
+		}
+	}
+}
+
 // TestBinaryTraceBudgetCheckedWhileDecoding pins that a binary trace is
 // charged against the per-job budget before its sequences are
 // allocated: a header declaring one core of 2^28 requests with no pages

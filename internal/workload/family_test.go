@@ -131,6 +131,7 @@ func TestParseFamilyErrors(t *testing.T) {
 		"trace()",                         // missing path
 		"trace(path=/does/not/exist.txt)", // unreadable path
 		"mixed(cores=1)",                  // needs >= 2 cores
+		"zipf(cores=2,v=1e15)",            // numerically unusable
 	}
 	for _, spec := range bad {
 		if _, err := ParseFamily(spec); err == nil {

@@ -52,8 +52,11 @@ type Spec struct {
 	Pages int `json:"pages"`
 	// Kind selects the generator family.
 	Kind Kind `json:"kind"`
-	// ZipfS and ZipfV parameterise the Zipf distribution (s > 1, v ≥ 1);
-	// zero values default to s=1.2, v=1.
+	// ZipfS and ZipfV parameterise the Zipf distribution: rank k has
+	// weight (v + k)^−s. s ≤ 1 (zero included) becomes 1.2 and v < 1
+	// becomes 1. Generate rejects parameters too extreme for float64
+	// arithmetic, such as v = 1e15, under which the sampler would draw
+	// ranks outside the page range.
 	ZipfS float64 `json:"zipf_s,omitempty"`
 	ZipfV float64 `json:"zipf_v,omitempty"`
 	// Phases (Phased only) is the number of phases; zero defaults to 8.
@@ -112,6 +115,13 @@ func Generate(s Spec) (core.RequestSet, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
+	var z *zipfSampler
+	if s.Kind == Zipf {
+		var err error
+		if z, err = s.zipf(rng); err != nil {
+			return nil, err
+		}
+	}
 	rs := make(core.RequestSet, s.Cores)
 	sharedPages := s.SharedPages
 	if sharedPages == 0 {
@@ -119,7 +129,10 @@ func Generate(s Spec) (core.RequestSet, error) {
 	}
 	for j := 0; j < s.Cores; j++ {
 		base := core.PageID(j * privateStride)
-		local := s.generateCore(rng, j)
+		local, err := s.generateCore(rng, z)
+		if err != nil {
+			return nil, err
+		}
 		if s.SharedFrac > 0 {
 			for i := range local {
 				if rng.Float64() < s.SharedFrac {
@@ -138,8 +151,23 @@ func Generate(s Spec) (core.RequestSet, error) {
 	return rs, nil
 }
 
-// generateCore produces one core's sequence over pages 0..Pages-1.
-func (s Spec) generateCore(rng *rand.Rand, j int) core.Sequence {
+// zipf builds the sampler every core of a Zipf spec draws from. It
+// tabulates at most one rank per 32 draws of the whole call, so a small
+// call does not build a table its draws cannot pay back.
+func (s Spec) zipf(rng *rand.Rand) (*zipfSampler, error) {
+	zs, zv := s.ZipfS, s.ZipfV
+	if zs <= 1 {
+		zs = 1.2
+	}
+	if zv < 1 {
+		zv = 1
+	}
+	return newZipfSampler(rng, zs, zv, uint64(s.Pages-1), s.Cores*s.Length/32)
+}
+
+// generateCore produces one core's sequence over pages 0..Pages-1; z is
+// the Zipf sampler for a Zipf spec.
+func (s Spec) generateCore(rng *rand.Rand, z *zipfSampler) (core.Sequence, error) {
 	seq := make(core.Sequence, s.Length)
 	switch s.Kind {
 	case Uniform:
@@ -147,17 +175,13 @@ func (s Spec) generateCore(rng *rand.Rand, j int) core.Sequence {
 			seq[i] = core.PageID(rng.Intn(s.Pages))
 		}
 	case Zipf:
-		zs, zv := s.ZipfS, s.ZipfV
-		if zs <= 1 {
-			zs = 1.2
-		}
-		if zv < 1 {
-			zv = 1
-		}
-		z := rand.NewZipf(rng, zs, zv, uint64(s.Pages-1))
 		perm := rng.Perm(s.Pages) // decouple popularity rank from page ID
 		for i := range seq {
-			seq[i] = core.PageID(perm[int(z.Uint64())])
+			k, ok := z.next()
+			if !ok {
+				return nil, z.unusable()
+			}
+			seq[i] = core.PageID(perm[k])
 		}
 	case Loop:
 		off := rng.Intn(s.Pages)
@@ -204,7 +228,7 @@ func (s Spec) generateCore(rng *rand.Rand, j int) core.Sequence {
 			}
 		}
 	}
-	return seq
+	return seq, nil
 }
 
 // mixStream is Mix's sim.DeriveSeed stream ID. Families use stream 0
