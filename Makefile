@@ -7,10 +7,11 @@ GO ?= go
 
 # Benchmarks the comparison targets track: the simulator serve paths,
 # the batch harness, the mcservd service path (jobs, sweeps, JobKey),
-# workload generation (the generate half of Resolve), plus the root
-# throughput benches.
-BENCH_PATTERN ?= BenchmarkSim|BenchmarkSweepGrid|BenchmarkServe|BenchmarkJobKey|BenchmarkGenerate
-BENCH_PKGS ?= . ./internal/sim/ ./internal/sweep/ ./internal/server/ ./internal/workload/
+# workload generation (the generate half of Resolve), the eviction
+# policies on their own (BenchmarkPolicy*), plus the root throughput
+# benches.
+BENCH_PATTERN ?= BenchmarkSim|BenchmarkSweepGrid|BenchmarkServe|BenchmarkJobKey|BenchmarkGenerate|BenchmarkPolicy
+BENCH_PKGS ?= . ./internal/sim/ ./internal/sweep/ ./internal/server/ ./internal/workload/ ./internal/cache/
 BENCH_COUNT ?= 5
 
 all: build test lint

@@ -114,6 +114,9 @@ func main() {
 	}
 	tbl := metrics.NewTable(title,
 		"strategy", "faults", "fault_rate", "jain", "makespan")
+	// The summary renders first, then the per-core breakdowns in job
+	// order.
+	tables := []*metrics.Table{tbl}
 	for _, job := range jobs {
 		st, err := strategyspec.Build(job.Spec, rs, job.K, job.Seed)
 		if err != nil {
@@ -199,11 +202,13 @@ func main() {
 			for j := range rs {
 				sub.AddRow(j, res.Faults[j], res.Hits[j], res.Finish[j], slow[j])
 			}
-			defer sub.Render(os.Stdout)
+			tables = append(tables, sub)
 		}
 	}
-	if err := tbl.Render(os.Stdout); err != nil {
-		fatal(err)
+	for _, t := range tables {
+		if err := t.Render(os.Stdout); err != nil {
+			fatal(err)
+		}
 	}
 }
 

@@ -7,14 +7,14 @@ import (
 	"mcpaging/internal/core"
 )
 
-// The recency-ordered policies back the simulator's hot loop; their
-// steady-state operations are annotated //mcpaging:hotpath and must not
-// allocate once the dense node array is warm. These tests pin that
-// invariant so a regression fails CI rather than only showing up in
-// benchmark numbers.
+// The policies on the recency list back the simulator's hot loop; their
+// steady-state operations must not allocate once the dense node array
+// and the per-page slices beside it are warm (the list operations are
+// annotated //mcpaging:hotpath). These tests pin that invariant so a
+// regression fails CI rather than only showing up in benchmark numbers.
 
-// warmRecency fills a policy with pages 0..n-1 so the dense array is
-// grown and every subsequent operation stays inside it.
+// warmRecency fills a policy with pages 0..n-1 so the dense arrays are
+// grown and every subsequent operation stays inside them.
 func warmRecency(p cache.Policy, n int) {
 	for i := 0; i < n; i++ {
 		p.Insert(core.PageID(i), cache.Access{})
@@ -29,6 +29,12 @@ func TestRecencyPoliciesSteadyStateZeroAllocs(t *testing.T) {
 		{"LRU", cache.NewLRU()},
 		{"MRU", cache.NewMRU()},
 		{"FIFO", cache.NewFIFO()},
+		{"CLOCK", cache.NewClock()},
+		{"LFU", cache.NewLFU()},
+		{"LRU2", cache.NewLRU2()},
+		{"MARK", cache.NewMarking()},
+		{"RAND", cache.NewRandom(1)},
+		{"RMARK", cache.NewRMark(1)},
 	}
 	for _, tc := range policies {
 		t.Run(tc.name, func(t *testing.T) {

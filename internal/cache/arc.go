@@ -36,12 +36,7 @@ func (a *arcList) remove(p core.PageID) bool { return a.r.remove(p) }
 //
 //mcpaging:hotpath
 func (a *arcList) lru(filter func(core.PageID) bool) (core.PageID, bool) {
-	for p := a.r.front(); p != core.NoPage; p = a.r.nextOf(p) {
-		if filter == nil || filter(p) {
-			return p, true
-		}
-	}
-	return core.NoPage, false
+	return a.r.first(filter)
 }
 
 func (a *arcList) reset() { a.r.reset() }
@@ -89,12 +84,6 @@ func (a *ARC) Resize(c int) {
 	if a.target > c {
 		a.target = c
 	}
-}
-
-// Surrender implements Policy: a shrinking part gives up ARC's REPLACE
-// victim, exactly as Evict would choose without ghost-hit context.
-func (a *ARC) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return a.Evict(evictable)
 }
 
 // adjust applies ARC's p̂ update for a miss on page x, once per miss.

@@ -252,13 +252,13 @@ func TestARCResizeZeroIsRespected(t *testing.T) {
 	if a.c != 0 {
 		t.Fatalf("Resize(0) overwritten: capacity = %d", a.c)
 	}
-	// The remaining resident drains through Surrender like any shrink.
-	w, ok := a.Surrender(nil)
+	// The remaining resident drains through Evict like any shrink.
+	w, ok := a.Evict(nil)
 	if !ok {
-		t.Fatal("Surrender after Resize(0) failed")
+		t.Fatal("Evict after Resize(0) failed")
 	}
 	if v == w {
-		t.Fatalf("Surrender repeated victim %d", w)
+		t.Fatalf("Evict repeated victim %d", w)
 	}
 	if a.Len() != 0 {
 		t.Fatalf("Len after draining = %d, want 0", a.Len())

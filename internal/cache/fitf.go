@@ -48,11 +48,7 @@ func (f *FITF) position(p core.PageID) int32 {
 }
 
 func (f *FITF) setPosition(p core.PageID, idx int32) {
-	if int(p) >= len(f.pos) {
-		pos := make([]int32, max(2*len(f.pos), int(p)+1, 16))
-		copy(pos, f.pos)
-		f.pos = pos
-	}
+	f.pos = growFor(f.pos, p)
 	f.pos[p] = idx
 }
 
@@ -131,9 +127,3 @@ func (f *FITF) Reset() {
 
 // Resize implements Policy: FITF's victim choice is capacity-independent.
 func (f *FITF) Resize(int) {}
-
-// Surrender implements Policy: same victim as Evict (the page whose next
-// request is furthest in the future).
-func (f *FITF) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return f.Evict(evictable)
-}

@@ -11,11 +11,15 @@ const absentNode core.PageID = -2
 // rnode is one intrusive list node; prev and next hold page IDs.
 type rnode struct{ prev, next core.PageID }
 
-// recencyList is the shared machinery of the recency-ordered policies
-// (LRU, MRU, FIFO): an intrusive doubly linked list from least to most
-// recently used/inserted, with nodes indexed by page ID instead of
-// heap-allocated list elements. Page IDs are the simulator's dense IDs,
-// so the node array stays proportional to the instance.
+// recencyList is the one per-page representation of every policy but
+// FITF: an intrusive doubly linked list from least to most recently
+// used/inserted, with nodes indexed by page ID instead of heap-allocated
+// list elements. Recency policies (LRU, MRU, FIFO, MARK, ARC, SLRU,
+// TinyLFU, LFU, LRU2) read it as recency order, CLOCK as its queue from
+// the hand, RAND and RMARK as their member set; any further per-page
+// state lives in slices indexed by page ID beside it (see growFor).
+// Page IDs are the simulator's dense IDs, so the node array stays
+// proportional to the instance.
 type recencyList struct {
 	nodes []rnode     // index = page ID
 	head  core.PageID // least recent; core.NoPage when empty
@@ -41,15 +45,24 @@ func (r *recencyList) node(p core.PageID) *rnode {
 	return nd
 }
 
+// growFor returns s extended to cover index p, at least doubling, so a
+// per-page slice grows in amortised O(1) steps.
+func growFor[T any](s []T, p core.PageID) []T {
+	if int(p) < len(s) {
+		return s
+	}
+	out := make([]T, max(2*len(s), int(p)+1, 16))
+	copy(out, s)
+	return out
+}
+
 // grow extends the node array to cover page p.
 func (r *recencyList) grow(p core.PageID) {
-	n := max(2*len(r.nodes), int(p)+1, 16)
-	nodes := make([]rnode, n)
-	copy(nodes, r.nodes)
-	for i := len(r.nodes); i < n; i++ {
-		nodes[i].prev = absentNode
+	old := len(r.nodes)
+	r.nodes = growFor(r.nodes, p)
+	for i := old; i < len(r.nodes); i++ {
+		r.nodes[i].prev = absentNode
 	}
-	r.nodes = nodes
 }
 
 //mcpaging:hotpath
@@ -144,6 +157,19 @@ func (r *recencyList) reset() {
 	r.n = 0
 }
 
+// first returns the first page from the front that passes filter (nil
+// = any) without removing it.
+//
+//mcpaging:hotpath
+func (r *recencyList) first(filter func(core.PageID) bool) (core.PageID, bool) {
+	for p := r.head; p != core.NoPage; p = r.nodes[p].next {
+		if filter == nil || filter(p) {
+			return p, true
+		}
+	}
+	return core.NoPage, false
+}
+
 // evictFront removes and returns the first evictable page scanning from
 // the front of the list.
 //
@@ -213,23 +239,12 @@ func (l *LRU) Reset() { l.r.reset() }
 // Resize implements Policy: LRU's victim choice is capacity-independent.
 func (l *LRU) Resize(int) {}
 
-// Surrender implements Policy: a shrinking LRU part gives up its least
-// recently used page — the same page Evict would choose.
-func (l *LRU) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return l.r.evictFront(evictable)
-}
-
 // LeastRecent returns the least recently used page currently in the
 // domain without removing it. It is used by the Lemma-3 dynamic
 // partition, which must locate the globally least recent page across
 // parts. ok is false when the domain is empty or nothing is evictable.
 func (l *LRU) LeastRecent(evictable func(core.PageID) bool) (core.PageID, bool) {
-	for p := l.r.front(); p != core.NoPage; p = l.r.nextOf(p) {
-		if evictable == nil || evictable(p) {
-			return p, true
-		}
-	}
-	return core.NoPage, false
+	return l.r.first(evictable)
 }
 
 // MRU evicts the most recently used page. It is the classic pathological
@@ -269,11 +284,6 @@ func (m *MRU) Reset() { m.r.reset() }
 // Resize implements Policy: MRU's victim choice is capacity-independent.
 func (m *MRU) Resize(int) {}
 
-// Surrender implements Policy: same victim as Evict.
-func (m *MRU) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return m.r.evictBack(evictable)
-}
-
 // FIFO evicts the page that has been in the domain longest, regardless of
 // hits. It is a conservative policy, so Lemma 1's upper bound applies to
 // it.
@@ -310,8 +320,3 @@ func (f *FIFO) Reset() { f.r.reset() }
 
 // Resize implements Policy: FIFO's victim choice is capacity-independent.
 func (f *FIFO) Resize(int) {}
-
-// Surrender implements Policy: same victim as Evict.
-func (f *FIFO) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return f.r.evictFront(evictable)
-}

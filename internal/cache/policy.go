@@ -71,17 +71,9 @@ type Policy interface {
 	// segment split, TinyLFU's admission window) tracks the part it
 	// serves. Policies whose victim choice is capacity-independent
 	// (LRU, FIFO, ...) treat it as a no-op. Resize never evicts: when a
-	// part shrinks, the strategy drains the overage via Surrender.
+	// part shrinks, the strategy drains the overage by calling Evict, so
+	// a shrink gives up exactly the pages the policy would evict.
 	Resize(n int)
-	// Surrender is the shrink half of the partition contract: it removes
-	// and returns the page the policy gives up when its domain loses a
-	// cell without a replacement being inserted (a dynamic partition
-	// moving a cell to another core). The victim must come from the
-	// domain and honour the evictable predicate exactly like Evict; for
-	// every policy in this package the surrendered page is the page
-	// Evict would have chosen, so shrinking a part by one cell evicts
-	// exactly the policy's victim. ok is false if nothing qualifies.
-	Surrender(evictable func(core.PageID) bool) (victim core.PageID, ok bool)
 }
 
 // Oracle is the simulator's knowledge of the instance, for policies that
@@ -118,39 +110,38 @@ type OracleUser interface {
 // the factory once per part so that parts never share metadata.
 type Factory func() Policy
 
-// NewFactory returns a factory for the named policy. Supported names:
-// LRU, FIFO, CLOCK, LFU, MRU, MARK (marking with LRU preference among
-// unmarked pages), RMARK (randomized marking), RAND (both take the
-// seed), FITF (offline; needs an oracle), ARC, SLRU, and LRU2. The name
-// match is exact.
+// policies is the policy table behind NewFactory and PolicyNames, in
+// PolicyNames order.
+var policies = []struct {
+	name string
+	mk   func(seed int64) Policy
+}{
+	{"LRU", func(int64) Policy { return NewLRU() }},
+	{"FIFO", func(int64) Policy { return NewFIFO() }},
+	{"CLOCK", func(int64) Policy { return NewClock() }},
+	{"LFU", func(int64) Policy { return NewLFU() }},
+	{"MRU", func(int64) Policy { return NewMRU() }},
+	{"MARK", func(int64) Policy { return NewMarking() }},
+	{"RMARK", func(seed int64) Policy { return NewRMark(seed) }},
+	{"RAND", func(seed int64) Policy { return NewRandom(seed) }},
+	{"FITF", func(int64) Policy { return NewFITF() }},
+	{"ARC", func(int64) Policy { return NewARC() }},
+	{"SLRU", func(int64) Policy { return NewSLRU() }},
+	{"LRU2", func(int64) Policy { return NewLRU2() }},
+	{"TINYLFU", func(int64) Policy { return NewTinyLFU() }},
+}
+
+// NewFactory returns a factory for the named policy, one of
+// PolicyNames: LRU, FIFO, CLOCK, LFU, MRU, MARK (marking with LRU
+// preference among unmarked pages), RMARK (randomized marking), RAND
+// (both take the seed), FITF (offline; needs an oracle), ARC, SLRU,
+// LRU2 and TINYLFU. The name match is exact.
 func NewFactory(name string, seed int64) (Factory, error) {
-	switch name {
-	case "LRU":
-		return func() Policy { return NewLRU() }, nil
-	case "FIFO":
-		return func() Policy { return NewFIFO() }, nil
-	case "CLOCK":
-		return func() Policy { return NewClock() }, nil
-	case "LFU":
-		return func() Policy { return NewLFU() }, nil
-	case "MRU":
-		return func() Policy { return NewMRU() }, nil
-	case "MARK":
-		return func() Policy { return NewMarking() }, nil
-	case "RAND":
-		return func() Policy { return NewRandom(seed) }, nil
-	case "RMARK":
-		return func() Policy { return NewRMark(seed) }, nil
-	case "FITF":
-		return func() Policy { return NewFITF() }, nil
-	case "ARC":
-		return func() Policy { return NewARC() }, nil
-	case "SLRU":
-		return func() Policy { return NewSLRU() }, nil
-	case "LRU2":
-		return func() Policy { return NewLRU2() }, nil
-	case "TINYLFU":
-		return func() Policy { return NewTinyLFU() }, nil
+	for _, e := range policies {
+		if e.name == name {
+			mk := e.mk
+			return func() Policy { return mk(seed) }, nil
+		}
 	}
 	return nil, fmt.Errorf("cache: unknown policy %q", name)
 }
@@ -158,5 +149,9 @@ func NewFactory(name string, seed int64) (Factory, error) {
 // PolicyNames lists the policy names accepted by NewFactory, in a stable
 // order suitable for CLI help strings and experiment sweeps.
 func PolicyNames() []string {
-	return []string{"LRU", "FIFO", "CLOCK", "LFU", "MRU", "MARK", "RMARK", "RAND", "FITF", "ARC", "SLRU", "LRU2", "TINYLFU"}
+	names := make([]string, len(policies))
+	for i, e := range policies {
+		names[i] = e.name
+	}
+	return names
 }

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"math/rand"
-	"sort"
 
 	"mcpaging/internal/core"
 )
@@ -12,10 +11,13 @@ import (
 // at random among the unmarked pages; when every page is marked a new
 // phase begins. In sequential paging it is Θ(log k)-competitive — the
 // randomized counterpart of MARK in the E13/E18 comparisons. Seeded and
-// reproducible like RAND.
+// reproducible like RAND, and drawn the same way: from the candidates
+// sorted by page ID. The recency list serves as the member set, and
+// marks are epoch-stamped as MARK's are.
 type RMark struct {
-	pages  map[core.PageID]struct{}
-	marked map[core.PageID]bool
+	r      recencyList
+	marked marks
+	buf    []core.PageID // candidate scratch, reused across evictions
 	rng    *rand.Rand
 	seed   int64
 }
@@ -23,8 +25,8 @@ type RMark struct {
 // NewRMark returns an empty randomized-marking policy.
 func NewRMark(seed int64) *RMark {
 	return &RMark{
-		pages:  make(map[core.PageID]struct{}),
-		marked: make(map[core.PageID]bool),
+		r:      newRecencyList(),
+		marked: newMarks(),
 		rng:    rand.New(rand.NewSource(seed)),
 		seed:   seed,
 	}
@@ -35,94 +37,62 @@ func (m *RMark) Name() string { return "RMARK" }
 
 // Insert implements Policy.
 func (m *RMark) Insert(p core.PageID, _ Access) {
-	if _, ok := m.pages[p]; ok {
-		panic("cache: duplicate insert of page in RMARK domain")
-	}
-	m.pages[p] = struct{}{}
-	m.marked[p] = true
+	m.r.insert(p) // panics on duplicate insert, like every domain
+	m.marked.set(p)
 }
 
 // Touch implements Policy.
 func (m *RMark) Touch(p core.PageID, _ Access) {
-	if _, ok := m.pages[p]; ok {
-		m.marked[p] = true
+	if m.r.contains(p) {
+		m.marked.set(p)
 	}
 }
 
 // Evict implements Policy: a uniformly random unmarked evictable page;
 // if every evictable page is marked, a new phase begins.
 func (m *RMark) Evict(evictable func(core.PageID) bool) (core.PageID, bool) {
-	pick := func() (core.PageID, bool) {
-		var cands []core.PageID
-		for p := range m.pages {
-			if !m.marked[p] && (evictable == nil || evictable(p)) {
-				cands = append(cands, p)
-			}
-		}
-		if len(cands) == 0 {
-			return core.NoPage, false
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-		return cands[m.rng.Intn(len(cands))], true
-	}
-	if v, ok := pick(); ok {
-		delete(m.pages, v)
-		delete(m.marked, v)
+	if v, ok := m.evictUnmarked(evictable); ok {
 		return v, true
 	}
 	// All unmarked pages are pinned, or all pages are marked: open a new
 	// phase only if some evictable page exists at all.
-	any := false
-	//mcvet:ignore detmap existence scan with early break is order-independent
-	for p := range m.pages {
-		if evictable == nil || evictable(p) {
-			any = true
-			break
-		}
-	}
-	if !any {
+	if _, ok := m.r.first(evictable); !ok {
 		return core.NoPage, false
 	}
-	clear(m.marked)
-	if v, ok := pick(); ok {
-		delete(m.pages, v)
-		delete(m.marked, v)
-		return v, true
+	m.marked.clear()
+	return m.evictUnmarked(evictable)
+}
+
+func (m *RMark) evictUnmarked(evictable func(core.PageID) bool) (core.PageID, bool) {
+	cands := m.buf[:0]
+	for p := m.r.front(); p != core.NoPage; p = m.r.nextOf(p) {
+		if !m.marked.has(p) && (evictable == nil || evictable(p)) {
+			cands = append(cands, p)
+		}
 	}
-	return core.NoPage, false
+	m.buf = cands
+	v, ok := draw(m.rng, cands)
+	if ok {
+		m.r.remove(v)
+	}
+	return v, ok
 }
 
 // Remove implements Policy.
-func (m *RMark) Remove(p core.PageID) bool {
-	if _, ok := m.pages[p]; !ok {
-		return false
-	}
-	delete(m.pages, p)
-	delete(m.marked, p)
-	return true
-}
+func (m *RMark) Remove(p core.PageID) bool { return m.r.remove(p) }
 
 // Contains implements Policy.
-func (m *RMark) Contains(p core.PageID) bool {
-	_, ok := m.pages[p]
-	return ok
-}
+func (m *RMark) Contains(p core.PageID) bool { return m.r.contains(p) }
 
 // Len implements Policy.
-func (m *RMark) Len() int { return len(m.pages) }
+func (m *RMark) Len() int { return m.r.len() }
 
 // Reset implements Policy; the seed replays.
 func (m *RMark) Reset() {
-	m.pages = make(map[core.PageID]struct{})
-	m.marked = make(map[core.PageID]bool)
+	m.r.reset()
+	m.marked.clear()
 	m.rng = rand.New(rand.NewSource(m.seed))
 }
 
 // Resize implements Policy: RMARK's victim choice is capacity-independent.
 func (m *RMark) Resize(int) {}
-
-// Surrender implements Policy: same victim as Evict (a random unmarked
-// page; consumes one draw from the seeded generator).
-func (m *RMark) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return m.Evict(evictable)
-}

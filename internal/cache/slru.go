@@ -101,12 +101,6 @@ func (s *SLRU) evictExact(p core.PageID) bool {
 	return s.prob.remove(p) || s.prot.remove(p)
 }
 
-// Surrender implements Policy: same victim as Evict (probationary LRU
-// first, protected LRU as the fallback).
-func (s *SLRU) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return s.Evict(evictable)
-}
-
 // Remove implements Policy.
 func (s *SLRU) Remove(p core.PageID) bool { return s.prob.remove(p) || s.prot.remove(p) }
 
@@ -125,10 +119,14 @@ func (s *SLRU) Reset() {
 // LRU2 implements LRU-K for K=2 (O'Neil, O'Neil & Weikum 1993): the
 // victim is the page whose second-most-recent access is oldest; pages
 // seen only once rank before all twice-seen pages (their backward
-// K-distance is infinite), breaking ties by older last access, then by
-// smaller page ID. Victim search scans the domain (≤ K pages).
+// K-distance is infinite), breaking ties by older last access. Pages sit
+// on the recency list in last-access order, and second-most-recent
+// stamps are unique among twice-seen pages, so the victim is the first
+// evictable minimum in list order. Victim search scans the domain (≤ K
+// pages).
 type LRU2 struct {
-	meta map[core.PageID]lru2Entry
+	r    recencyList
+	meta []lru2Entry // by page ID; meaningful only for pages in r
 	seq  int64
 }
 
@@ -137,92 +135,68 @@ type lru2Entry struct {
 }
 
 // NewLRU2 returns an empty LRU-2 policy.
-func NewLRU2() *LRU2 { return &LRU2{meta: make(map[core.PageID]lru2Entry)} }
+func NewLRU2() *LRU2 { return &LRU2{r: newRecencyList()} }
 
 // Name implements Policy.
 func (l *LRU2) Name() string { return "LRU2" }
 
 // Insert implements Policy.
 func (l *LRU2) Insert(p core.PageID, _ Access) {
-	if _, ok := l.meta[p]; ok {
-		panic("cache: duplicate insert of page in LRU2 domain")
-	}
+	l.r.insert(p) // panics on duplicate insert, like every domain
 	l.seq++
+	l.meta = growFor(l.meta, p)
 	l.meta[p] = lru2Entry{last: l.seq}
 }
 
 // Touch implements Policy.
 func (l *LRU2) Touch(p core.PageID, _ Access) {
-	e, ok := l.meta[p]
-	if !ok {
+	if !l.r.contains(p) {
 		return
 	}
+	l.r.moveToBack(p)
 	l.seq++
-	e.prev = e.last
-	e.last = l.seq
-	l.meta[p] = e
+	e := &l.meta[p]
+	e.prev, e.last = e.last, l.seq
+}
+
+// before reports whether a page with entry a is evicted before one with
+// entry b that comes later in last-access order.
+func (a lru2Entry) before(b lru2Entry) bool {
+	if (a.prev == 0) != (b.prev == 0) {
+		return a.prev == 0 // once-seen pages go first
+	}
+	return a.prev < b.prev
 }
 
 // Evict implements Policy.
 func (l *LRU2) Evict(evictable func(core.PageID) bool) (core.PageID, bool) {
 	best := core.NoPage
-	var bestE lru2Entry
-	better := func(a lru2Entry, ap core.PageID, b lru2Entry, bp core.PageID) bool {
-		if (a.prev == 0) != (b.prev == 0) {
-			return a.prev == 0 // once-seen pages go first
-		}
-		if a.prev != b.prev {
-			return a.prev < b.prev
-		}
-		if a.last != b.last {
-			return a.last < b.last
-		}
-		return ap < bp
-	}
-	//mcvet:ignore detmap min-reduction under the total order better() is order-independent
-	for p, e := range l.meta {
-		if evictable != nil && !evictable(p) {
-			continue
-		}
-		if best == core.NoPage || better(e, p, bestE, best) {
-			best, bestE = p, e
+	for p := l.r.front(); p != core.NoPage; p = l.r.nextOf(p) {
+		if (evictable == nil || evictable(p)) && (best == core.NoPage || l.meta[p].before(l.meta[best])) {
+			best = p
 		}
 	}
 	if best == core.NoPage {
 		return core.NoPage, false
 	}
-	delete(l.meta, best)
+	l.r.remove(best)
 	return best, true
 }
 
 // Remove implements Policy.
-func (l *LRU2) Remove(p core.PageID) bool {
-	if _, ok := l.meta[p]; !ok {
-		return false
-	}
-	delete(l.meta, p)
-	return true
-}
+func (l *LRU2) Remove(p core.PageID) bool { return l.r.remove(p) }
 
 // Contains implements Policy.
-func (l *LRU2) Contains(p core.PageID) bool {
-	_, ok := l.meta[p]
-	return ok
-}
+func (l *LRU2) Contains(p core.PageID) bool { return l.r.contains(p) }
 
 // Len implements Policy.
-func (l *LRU2) Len() int { return len(l.meta) }
+func (l *LRU2) Len() int { return l.r.len() }
 
 // Reset implements Policy.
 func (l *LRU2) Reset() {
-	l.meta = make(map[core.PageID]lru2Entry)
+	l.r.reset()
 	l.seq = 0
 }
 
 // Resize implements Policy: LRU-2's victim choice is capacity-independent.
 func (l *LRU2) Resize(int) {}
-
-// Surrender implements Policy: same victim as Evict.
-func (l *LRU2) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return l.Evict(evictable)
-}

@@ -66,12 +66,6 @@ func (t *TinyLFU) Resize(c int) {
 	t.main.Resize(c - t.windowCap)
 }
 
-// Surrender implements Policy: same victim as Evict (the frequency duel
-// between the window's LRU page and the main region's victim).
-func (t *TinyLFU) Surrender(evictable func(core.PageID) bool) (core.PageID, bool) {
-	return t.Evict(evictable)
-}
-
 // record updates the frequency sketch and ages it.
 func (t *TinyLFU) record(p core.PageID) {
 	t.sketch.add(t.key(p))

@@ -186,15 +186,14 @@ func (pr *prep) seqTransitionTrace(st *ftfSeqState, k int, emit func([]core.Page
 // It errors (through Err) if the run's fault pattern diverges from the
 // schedule. Once the schedule is exhausted — which is expected for PIF
 // witnesses, whose decisions only cover the prefix up to the checkpoint
-// — the replayer falls back to LRU over the residency book-keeping it
-// maintained during the replay, so the run completes cleanly.
+// — the replayer falls back to LRU over the cached pages, whose recency
+// it tracked during the replay, so the run completes cleanly.
 type Replayer struct {
 	sched []Decision
 	pos   int
 	err   error
 
-	seq  int64
-	last map[core.PageID]int64 // cached pages → last-use stamp
+	lru *cache.LRU // cached pages in recency order
 }
 
 // NewReplayer wraps a schedule produced by SolveFTFSeqSchedule or
@@ -208,8 +207,7 @@ func (r *Replayer) Name() string { return "replay" }
 func (r *Replayer) Init(core.Instance) error {
 	r.pos = 0
 	r.err = nil
-	r.seq = 0
-	r.last = make(map[core.PageID]int64)
+	r.lru = cache.NewLRU()
 	return nil
 }
 
@@ -219,16 +217,11 @@ func (r *Replayer) Err() error { return r.err }
 // Consumed reports how many decisions were used.
 func (r *Replayer) Consumed() int { return r.pos }
 
-func (r *Replayer) touch(p core.PageID) {
-	r.seq++
-	r.last[p] = r.seq
-}
-
 // OnHit implements sim.Strategy.
-func (r *Replayer) OnHit(p core.PageID, _ cache.Access) { r.touch(p) }
+func (r *Replayer) OnHit(p core.PageID, at cache.Access) { r.lru.Touch(p, at) }
 
 // OnJoin implements sim.Strategy.
-func (r *Replayer) OnJoin(p core.PageID, _ cache.Access) { r.touch(p) }
+func (r *Replayer) OnJoin(p core.PageID, at cache.Access) { r.lru.Touch(p, at) }
 
 // OnFault implements sim.Strategy.
 func (r *Replayer) OnFault(p core.PageID, at cache.Access, v sim.View) core.PageID {
@@ -242,27 +235,17 @@ func (r *Replayer) OnFault(p core.PageID, at cache.Access, v sim.View) core.Page
 				d.Core, d.Page, at.Core, p)
 		}
 		victim = d.Victim
+		r.lru.Remove(victim)
 	case v.Free() > 0:
 		// Tail: free cell available.
 	default:
 		// Tail: evict the least recently used resident page.
-		var best int64 = 1<<63 - 1
-		//mcvet:ignore detmap min-reduction with explicit smallest-ID tie-break is order-independent
-		for q, lastUse := range r.last {
-			if q == p || !v.Resident(q) {
-				continue
-			}
-			if lastUse < best || (lastUse == best && (victim == core.NoPage || q < victim)) {
-				victim, best = q, lastUse
-			}
-		}
-		if victim == core.NoPage {
+		w, ok := r.lru.Evict(v.Resident)
+		if !ok {
 			r.err = fmt.Errorf("offline: replay tail found no evictable page at t=%d", at.Time)
 		}
+		victim = w
 	}
-	if victim != core.NoPage {
-		delete(r.last, victim)
-	}
-	r.touch(p)
+	r.lru.Insert(p, at)
 	return victim
 }

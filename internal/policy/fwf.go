@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"slices"
+
 	"mcpaging/internal/cache"
 	"mcpaging/internal/core"
 	"mcpaging/internal/sim"
@@ -19,9 +21,15 @@ import (
 // soon as their fetches complete. Requests that land between the fault
 // and the boundary may still hit the doomed pages; the flush semantics
 // are otherwise exactly flush-when-full.
+//
+// Cached pages are a slice, and each page carries the phase it was
+// fetched in: a page is doomed when it was fetched in an older phase, so
+// a flush is a phase increment.
 type FWF struct {
-	resident map[core.PageID]bool
-	doomed   map[core.PageID]bool
+	pages  []core.PageID // cached pages, doomed or not
+	phase  []uint64      // by page ID: the phase the page was fetched in
+	cur    uint64        // current phase
+	doomed int           // cached pages of older phases
 }
 
 // NewFWF returns the shared flush-when-full strategy.
@@ -32,26 +40,29 @@ func (f *FWF) Name() string { return "S(FWF)" }
 
 // Init implements sim.Strategy.
 func (f *FWF) Init(core.Instance) error {
-	f.resident = make(map[core.PageID]bool)
-	f.doomed = make(map[core.PageID]bool)
+	f.pages = f.pages[:0]
+	f.doomed = 0
 	return nil
 }
 
 // OnTick implements sim.Ticker: flush the doomed pages that are
 // evictable.
 func (f *FWF) OnTick(_ int64, v sim.View) []core.PageID {
-	if len(f.doomed) == 0 {
+	if f.doomed == 0 {
 		return nil
 	}
 	var out []core.PageID
-	for p := range f.doomed {
-		if v.Resident(p) {
+	kept := f.pages[:0]
+	for _, p := range f.pages {
+		if f.phase[p] < f.cur && v.Resident(p) {
 			out = append(out, p)
-			delete(f.doomed, p)
-			delete(f.resident, p)
+		} else {
+			kept = append(kept, p)
 		}
 	}
-	sortPageIDs(out) // deterministic order for observers
+	f.pages = kept
+	f.doomed -= len(out)
+	slices.Sort(out) // deterministic order for observers
 	return out
 }
 
@@ -63,49 +74,41 @@ func (f *FWF) OnJoin(core.PageID, cache.Access) {}
 
 // OnFault implements sim.Strategy.
 func (f *FWF) OnFault(p core.PageID, _ cache.Access, v sim.View) core.PageID {
-	var victim core.PageID = core.NoPage
+	victim := core.NoPage
 	if v.Free() == 0 {
 		// Cache full: flush. One page goes now (the fault needs its
-		// cell) — preferring an already-doomed page — and the rest are
-		// doomed, leaving at the next boundary.
-		var fallback core.PageID = core.NoPage
-		for q := range f.resident {
-			if q == p || !v.Resident(q) {
-				continue
-			}
-			if f.doomed[q] {
-				if victim == core.NoPage || q < victim {
-					victim = q
+		// cell) — the smallest doomed page, else the smallest page of
+		// the current phase — and the rest are doomed, leaving at the
+		// next boundary.
+		at, fallback := -1, -1
+		for i, q := range f.pages {
+			switch {
+			case !v.Resident(q):
+				// In flight: not evictable yet.
+			case f.phase[q] < f.cur:
+				if at < 0 || q < f.pages[at] {
+					at = i
 				}
-			} else if fallback == core.NoPage || q < fallback {
-				fallback = q
+			case fallback < 0 || q < f.pages[fallback]:
+				fallback = i
 			}
 		}
-		if victim == core.NoPage {
-			victim = fallback
+		if at < 0 {
+			at = fallback
 		}
-		if victim == core.NoPage {
+		if at < 0 {
 			return core.NoPage // nothing evictable; simulator reports it
 		}
-		delete(f.resident, victim)
-		delete(f.doomed, victim)
-		for q := range f.resident {
-			if q != p {
-				f.doomed[q] = true
-			}
-		}
+		victim = f.pages[at]
+		f.pages = slices.Delete(f.pages, at, at+1)
+		f.cur++
+		f.doomed = len(f.pages)
 	}
-	f.resident[p] = true
-	delete(f.doomed, p) // a re-fetched page belongs to the new phase
+	// A fetched page belongs to the current phase.
+	f.pages = append(f.pages, p)
+	if int(p) >= len(f.phase) {
+		f.phase = append(f.phase, make([]uint64, int(p)+1-len(f.phase))...)
+	}
+	f.phase[p] = f.cur
 	return victim
-}
-
-// sortPageIDs sorts a small slice in place (insertion sort; flush sets
-// are at most K pages).
-func sortPageIDs(ps []core.PageID) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j] < ps[j-1]; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
 }

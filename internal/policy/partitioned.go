@@ -257,7 +257,7 @@ func (s *Partitioned) OnTick(t int64, v sim.View) []core.PageID {
 			}
 		}
 		for i := 0; i < over; i++ {
-			w, ok := s.parts[j].Surrender(s.vf.resident)
+			w, ok := s.parts[j].Evict(s.vf.resident)
 			if !ok {
 				break // in-flight pages; retried next tick
 			}
@@ -317,7 +317,7 @@ func (s *Partitioned) SurrenderOne(v sim.View) (core.PageID, bool) {
 		if best == -1 {
 			return core.NoPage, false
 		}
-		w, ok := s.parts[best].Surrender(s.vf.resident)
+		w, ok := s.parts[best].Evict(s.vf.resident)
 		if !ok {
 			skip[best] = true
 			continue

@@ -144,15 +144,14 @@ func (s *Shared) OnFault(p core.PageID, at cache.Access, v sim.View) core.PageID
 // its new domain size; shedding happens via SurrenderOne.
 func (s *Shared) OnCapacity(k int, _ int64) { s.pol.Resize(k) }
 
-// SurrenderOne implements sim.CapacityAware: the policy gives up its
-// victim, exactly the page Evict would have chosen. ok=false when
-// every resident page is in flight; the engine retries at the next
-// service step.
+// SurrenderOne implements sim.CapacityAware: the policy evicts its
+// victim among the resident pages. ok=false when every resident page is
+// in flight; the engine retries at the next service step.
 func (s *Shared) SurrenderOne(v sim.View) (core.PageID, bool) {
 	if s.vf.use(v) {
 		bindOracle(s.pol, v)
 	}
-	return s.pol.Surrender(s.vf.resident)
+	return s.pol.Evict(s.vf.resident)
 }
 
 // staticController fixes the partition for the whole run: the paper's

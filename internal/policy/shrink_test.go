@@ -92,9 +92,9 @@ func TestShrinkSurrendersPolicyVictim(t *testing.T) {
 
 			// Predict part 0's victim after the quota cut, then tick.
 			twin.Resize(2)
-			want, ok := twin.Surrender(func(core.PageID) bool { return true })
+			want, ok := twin.Evict(func(core.PageID) bool { return true })
 			if !ok {
-				t.Fatal("twin refused to surrender")
+				t.Fatal("twin refused to evict")
 			}
 			out := s.OnTick(64, v)
 			if len(out) != 1 {

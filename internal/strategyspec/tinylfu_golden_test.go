@@ -15,7 +15,7 @@ import (
 	"mcpaging/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite the TinyLFU golden file")
+var update = flag.Bool("update", false, "rewrite the golden files")
 
 // tinyLFURow is one pinned TinyLFU result.
 type tinyLFURow struct {
@@ -66,28 +66,35 @@ func TestTinyLFUGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	goldenPath := filepath.Join("testdata", "tinylfu_golden.jsonl")
+	checkGolden(t, filepath.Join("testdata", "tinylfu_golden.jsonl"), buf.Bytes())
+}
+
+// checkGolden compares got with the golden file at path, row by row, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("golden missing (run with -update): %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		got := bytes.Split(buf.Bytes(), []byte("\n"))
-		exp := bytes.Split(want, []byte("\n"))
-		for i := range got {
-			if i >= len(exp) || !bytes.Equal(got[i], exp[i]) {
-				t.Errorf("row %d differs from golden:\ngot  %s\nwant %s", i, got[i], line(exp, i))
-			}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotRows := bytes.Split(got, []byte("\n"))
+	exp := bytes.Split(want, []byte("\n"))
+	for i := range gotRows {
+		if i >= len(exp) || !bytes.Equal(gotRows[i], exp[i]) {
+			t.Errorf("row %d differs from golden:\ngot  %s\nwant %s", i, gotRows[i], line(exp, i))
 		}
-		if len(exp) > len(got) {
-			t.Errorf("golden has %d rows, run produced %d", len(exp), len(got))
-		}
+	}
+	if len(exp) > len(gotRows) {
+		t.Errorf("golden has %d rows, run produced %d", len(exp), len(gotRows))
 	}
 }
 

@@ -88,11 +88,12 @@ func Observe(inst Instance, s Strategy, obs Observer) (Result, error) {
 
 // EvictionPolicies lists the built-in eviction policy names accepted by
 // Shared, StaticPartition and StagedPartition: LRU, FIFO, CLOCK, LFU,
-// MRU, MARK, RAND, FITF.
+// MRU, MARK, RMARK, RAND, FITF, ARC, SLRU, LRU2 and TINYLFU.
 func EvictionPolicies() []string { return cache.PolicyNames() }
 
 // Shared returns the shared-cache strategy S_A for the named eviction
-// policy; seed drives the RAND policy and is ignored otherwise.
+// policy; seed drives the RAND and RMARK policies and is ignored
+// otherwise.
 func Shared(policyName string, seed int64) (Strategy, error) {
 	mk, err := cache.NewFactory(policyName, seed)
 	if err != nil {

@@ -29,6 +29,9 @@ go run ./cmd/mcstat -trace "$dir/t.txt" -k 16 > /dev/null
 
 echo "== mcsim (portfolio, binary input, events) =="
 go run ./cmd/mcsim -trace "$dir/t.txt" -k 16 -tau 4 -all > /dev/null
+# Per-core breakdowns follow the summary in portfolio order: S(LRU) first.
+go run ./cmd/mcsim -trace "$dir/t.txt" -k 16 -tau 4 -all -per-core > "$dir/percore.txt"
+test "$(grep -m1 'per-core (' "$dir/percore.txt")" = "  per-core (S(LRU))"
 go run ./cmd/mcsim -trace "$dir/t.bin" -k 8 -tau 2 -strategy 'dP[ucp](LRU)' -events "$dir/ev.csv" > /dev/null
 test -s "$dir/ev.csv"
 go run ./cmd/mcsim -trace "$dir/t.txt" -k 16 -tau 4 -strategy 'dP[ucp](ARC)' > /dev/null
