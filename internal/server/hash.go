@@ -95,14 +95,36 @@ func (e *keyEncoder) params(spec string, p core.Params, seed int64) {
 	e.raw([]byte(spec))
 }
 
+// maxPageVarint is the longest varint of a page: a zigzagged int32
+// takes at most 32 bits, 7 to a byte.
+const maxPageVarint = 5
+
 // requests encodes the request set: the core count, then each core's
-// length and pages.
+// length and pages. Pages go in batches of as many as fit the buffer at
+// maxPageVarint bytes each, each written as the zigzag varint
+// binary.PutVarint gives its int64 value.
 func (e *keyEncoder) requests(rs core.RequestSet) {
 	e.uvarint(uint64(len(rs)))
 	for _, seq := range rs {
 		e.uvarint(uint64(len(seq)))
-		for _, pg := range seq {
-			e.varint(int64(pg))
+		for len(seq) > 0 {
+			if len(e.buf)-e.n < maxPageVarint {
+				e.flush()
+			}
+			batch := seq[:min(len(seq), (len(e.buf)-e.n)/maxPageVarint)]
+			seq = seq[len(batch):]
+			b, n := e.buf[:], e.n
+			for _, pg := range batch {
+				v := uint32(pg)<<1 ^ uint32(pg>>31)
+				for v >= 0x80 {
+					b[n] = byte(v) | 0x80
+					v >>= 7
+					n++
+				}
+				b[n] = byte(v)
+				n++
+			}
+			e.n = n
 		}
 	}
 }

@@ -153,16 +153,24 @@ func TestResultCacheDuplicatePutKeepsFirst(t *testing.T) {
 }
 
 // TestJobKeyGoldenV3 pins the v3 key bytes: the keys below were
-// computed by the per-varint encoder this one replaced. Equal keys keep
+// computed by encoders that wrote one varint per call (binary.PutVarint
+// per page), before pages were encoded in batches. Equal keys keep
 // cached results and fleet ring placement where they were. The large
 // set crosses the encoder's buffer many times with 1- to 4-byte
-// varints. Keyer must agree with JobKey on every case.
+// varints; the wide set reaches page 2^31−1, so its varints run from 1
+// to 5 bytes. Keyer must agree with JobKey on every case.
 func TestJobKeyGoldenV3(t *testing.T) {
 	small := core.RequestSet{{1, 2, 3, 1}, {7, 8, 7}}
 	large := make(core.RequestSet, 3)
 	for c := range large {
 		for i := 0; i < 5000; i++ {
 			large[c] = append(large[c], core.PageID((i*7919+c*104729)%3000017))
+		}
+	}
+	wide := make(core.RequestSet, 2)
+	for c := range wide {
+		for i := 0; i < 3000; i++ {
+			wide[c] = append(wide[c], core.PageID((1<<31-1-i*(c+1))>>(i%32)))
 		}
 	}
 	sched, err := capacity.ParsePortableSchedule("step(to=50%,at=4)", 4)
@@ -179,6 +187,7 @@ func TestJobKeyGoldenV3(t *testing.T) {
 		{small, "S(LRU)", core.Params{K: 3, Tau: 2}, 0, "34ee09bcb35758c22b65ae84cf8ab5dc583fbd991bed247f886f6b7361d554e1"},
 		{small, "sP[even](LRU)", core.Params{K: 4, Tau: 1, Capacity: sched}, 7, "0ee29e7264f770c9399afb506efb2b639bf0446239b85175ca2cf8e1e525093a"},
 		{large, "dP[fair](LRU)", core.Params{K: 64, Tau: 3}, -5, "e16d930bfd6db5ad30735651ea80b16308712dab3321408cd6ec2a72f41a7bbc"},
+		{wide, "S(FITF)", core.Params{K: 16, Tau: 8}, 1 << 40, "dfa096bdb9ae2a5e3f8badf358114f5102073d611ad5fa9005367bf434b96ca6"},
 	}
 	for _, c := range cases {
 		if got := JobKey(c.rs, c.spec, c.p, c.seed); got != c.want {

@@ -181,10 +181,13 @@ func BenchmarkSimStream(b *testing.B) {
 // BenchmarkSimBind measures Runner.Bind plus Release, the per-job
 // stage between strategy build and the serve loop, on generated
 // workloads whose sparse IDs the engine renames: the sweep shape (4 ×
-// 12 500 zipf) and the job-trace shape (8 × 12 500 phased, 10% shared
-// pages). The rename arm alternates between two sets of the shape, so
-// every bind renames; the same arm rebinds the set the runner holds,
-// as a sweep's next cell does.
+// 12 500 zipf), the job-trace shape (8 × 12 500 phased, 10% shared
+// pages) and the job shape (4 × 25 000 zipf). Only the job shape's max
+// ID (197 119) lies below twice its request count, so only its binds
+// count distinct pages in the bitset before renaming. The rename arm
+// alternates between two sets of the shape, so every bind renames; the
+// same arm rebinds the set the runner holds, as a sweep's next cell
+// does.
 func BenchmarkSimBind(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -192,6 +195,7 @@ func BenchmarkSimBind(b *testing.B) {
 	}{
 		{"sweep", workload.Spec{Kind: workload.Zipf, Cores: 4, Length: 12500, Pages: 512}},
 		{"trace", workload.Spec{Kind: workload.Phased, Cores: 8, Length: 12500, Pages: 256, SharedFrac: 0.1}},
+		{"job", workload.Spec{Kind: workload.Zipf, Cores: 4, Length: 25000, Pages: 512}},
 	}
 	for _, sh := range shapes {
 		var sets [2]core.RequestSet

@@ -106,6 +106,103 @@ func TestDenseMatchesReference(t *testing.T) {
 	}
 }
 
+// wideInstance builds a p-core instance with fetch delay tau over a
+// shared page pool or disjoint per-core pools. Each core is empty with
+// probability 1/4, every core when allEmpty is set; sparse IDs force
+// the rename.
+func wideInstance(rng *rand.Rand, p, tau int, shared, sparse, allEmpty bool) core.Instance {
+	pages := 2 + rng.Intn(12)
+	rs := make(core.RequestSet, p)
+	for c := range rs {
+		if allEmpty || rng.Intn(4) == 0 {
+			continue
+		}
+		seq := make(core.Sequence, 1+rng.Intn(40))
+		for j := range seq {
+			id := core.PageID(rng.Intn(pages))
+			if !shared {
+				id += core.PageID(c * pages)
+			}
+			if sparse {
+				id = 50000000 + id*1000003
+			}
+			seq[j] = id
+		}
+		rs[c] = seq
+	}
+	return core.Instance{R: rs, P: core.Params{K: p + rng.Intn(12), Tau: tau}}
+}
+
+// tickFIFO is FIFO that also evicts its oldest resident page at every
+// step (sim.Ticker). Each OnTick call shows in the event stream, so a
+// step an engine takes without serving a request, or one it skips,
+// shows as a difference from the reference.
+type tickFIFO struct{ q []core.PageID }
+
+func (f *tickFIFO) Name() string                     { return "tickFIFO" }
+func (f *tickFIFO) Init(core.Instance) error         { f.q = f.q[:0]; return nil }
+func (f *tickFIFO) OnHit(core.PageID, cache.Access)  {}
+func (f *tickFIFO) OnJoin(core.PageID, cache.Access) {}
+
+func (f *tickFIFO) OnFault(p core.PageID, _ cache.Access, v sim.View) core.PageID {
+	victim := core.NoPage
+	if v.Free() == 0 {
+		victim = f.pop(v)
+	}
+	f.q = append(f.q, p)
+	return victim
+}
+
+func (f *tickFIFO) OnTick(_ int64, v sim.View) []core.PageID {
+	if pg := f.pop(v); pg != core.NoPage {
+		return []core.PageID{pg}
+	}
+	return nil
+}
+
+// pop removes and returns the oldest resident page, or NoPage when
+// every cached page is in flight.
+func (f *tickFIFO) pop(v sim.View) core.PageID {
+	for i, pg := range f.q {
+		if v.Resident(pg) {
+			f.q = append(f.q[:i], f.q[i+1:]...)
+			return pg
+		}
+	}
+	return core.NoPage
+}
+
+// TestDenseMatchesReferenceWide extends the differential corpus to
+// shapes randomInstance never draws: 1 to 16 cores, cores with no
+// requests, sets whose every core is empty, and τ up to 64. The serve
+// loop's single pass per step decides which cores are served at t and
+// when the next step is, so finished and empty cores and long fetches
+// are where it would diverge from the reference; tickFIFO makes every
+// step visible. Every instance runs at fixed K and under every elastic
+// schedule of the corpus.
+func TestDenseMatchesReferenceWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for p := 1; p <= 16; p++ {
+		for _, tau := range []int{0, 1, 8, 64} {
+			for _, shared := range []bool{false, true} {
+				in := wideInstance(rng, p, tau, shared, rng.Intn(2) == 0, p%5 == 0 && tau == 8)
+				label := fmt.Sprintf("p=%d tau=%d shared=%v K=%d total=%d", p, tau, shared, in.P.K, in.R.TotalLen())
+				fixed := append(diffStrategies(in.P.K, p), func() sim.Strategy { return new(tickFIFO) })
+				for si, mk := range fixed {
+					requireMatchesReference(t, fmt.Sprintf("%s strat=%d", label, si), in, mk)
+				}
+				for _, sched := range elasticSchedules(t, in.P.K, p) {
+					elastic := in
+					elastic.P.Capacity = sched
+					for mi, mk := range elasticStrategies(in.P.K, p) {
+						requireMatchesReference(t, fmt.Sprintf("%s sched=%s strat=%d", label, sched, mi), elastic, mk)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRunnerReuse checks that a Runner replayed over the same instance
 // with fresh strategies produces identical results every time — i.e. the
 // per-run reset fully clears ground truth, clocks, and oracle pointers.
@@ -252,6 +349,135 @@ func TestBindPathByDistinctCount(t *testing.T) {
 			t.Errorf("%s (%d distinct, max ID %d): Init's instance is not the input (renamed: %v)", tc.name, len(distinct), maxID, tc.renamed)
 		}
 	}
+}
+
+// rankRenamed is the rename oracle: rs with each page replaced by its
+// index among the sorted distinct IDs, found by binary search, or a
+// copy of rs when the direct-path rule keeps its IDs (max ID below 1024
+// or below twice the distinct count).
+func rankRenamed(rs core.RequestSet) core.RequestSet {
+	var distinct []core.PageID
+	for _, seq := range rs {
+		distinct = append(distinct, seq...)
+	}
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	if len(distinct) == 0 || distinct[len(distinct)-1] < 1024 || int(distinct[len(distinct)-1]) < 2*len(distinct) {
+		return rs.Clone()
+	}
+	out := rs.Clone()
+	for _, seq := range out {
+		for i, pg := range seq {
+			r, _ := slices.BinarySearch(distinct, pg)
+			seq[i] = core.PageID(r)
+		}
+	}
+	return out
+}
+
+// requireInitSeesRankRenaming binds rn to rs, runs a probe strategy,
+// and fails unless the instance its Init received is rankRenamed(rs).
+func requireInitSeesRankRenaming(t *testing.T, label string, rn *sim.Runner, rs core.RequestSet) {
+	t.Helper()
+	if err := rn.Bind(rs); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	probe := &initProbe{Strategy: policy.NewShared(lru())}
+	if _, err := rn.Run(core.Params{K: 16, Tau: 1}, probe, nil); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if want := rankRenamed(rs); !reflect.DeepEqual(probe.got, want) {
+		t.Fatalf("%s: Init's instance is not the rank renaming of the input", label)
+	}
+}
+
+// sparseIDs returns n distinct IDs i·step + off for i < n, shuffled.
+func sparseIDs(rng *rand.Rand, n, step, off int) []core.PageID {
+	ids := make([]core.PageID, n)
+	for i, j := range rng.Perm(n) {
+		ids[i] = core.PageID(j*step + off)
+	}
+	return ids
+}
+
+// TestRenameMatchesSort binds one runner to a series of sparse sets and
+// checks each against the sort-and-search oracle: page 0 next to page
+// 2^31−1 (the slot encoding must not confuse page 0 with an empty
+// slot), 100 000 distinct pages (the first-appearance table doubles
+// from its minimum size many times), a different set of that size
+// after Release (the table is rebuilt from the count names kept), and
+// a smaller and then a larger set without Release (the table is
+// reused, then outgrown).
+func TestRenameMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	const big = 100000
+	bigSet := func(step, off int) core.RequestSet {
+		ids := sparseIDs(rng, big, step, off)
+		return core.RequestSet{ids[:big/3], ids[big/3 : big/2], {}, append(ids[big/2:], ids[:big/4]...)}
+	}
+	small := core.RequestSet{sparseIDs(rng, 10, 7<<20, 3), sparseIDs(rng, 10, 7<<20, 3)}
+	larger := make(core.RequestSet, 3)
+	for c := range larger {
+		for i := 0; i < 6000; i++ {
+			larger[c] = append(larger[c], core.PageID(c<<16+rng.Intn(2000)))
+		}
+	}
+	rn := new(sim.Runner)
+	for _, step := range []struct {
+		name    string
+		rs      core.RequestSet
+		release bool
+	}{
+		{"zero and max", core.RequestSet{{0, 1<<31 - 1, 0, 5}, {1<<31 - 1, 0}}, false},
+		{"100k distinct", bigSet(21467, 0), true},
+		{"100k distinct after release", bigSet(21377, 11), false},
+		{"smaller", small, false},
+		{"larger", larger, true},
+		{"zero and max after release", core.RequestSet{{1<<31 - 1}, {0}}, false},
+	} {
+		requireInitSeesRankRenaming(t, step.name, rn, step.rs)
+		if step.release {
+			rn.Release()
+		}
+	}
+}
+
+// FuzzRenameMatchesSort binds one runner to three random sparse sets in
+// turn, releasing it between some of them, and checks each bind against
+// the sort-and-search oracle. The sets mix uniform IDs up to 2^31−1,
+// per-core clusters at c·2^16 like generated workloads, and multiples
+// of a large power of two, which share their low bits.
+func FuzzRenameMatchesSort(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 42, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		rn := new(sim.Runner)
+		for b := 0; b < 3; b++ {
+			pool := make([]core.PageID, 1+rng.Intn(3000))
+			for i := range pool {
+				switch rng.Intn(3) {
+				case 0:
+					pool[i] = core.PageID(rng.Int31())
+				case 1:
+					pool[i] = core.PageID(rng.Intn(8)<<16 + rng.Intn(1024))
+				default:
+					pool[i] = core.PageID(rng.Intn(1<<11) << 20)
+				}
+			}
+			rs := make(core.RequestSet, 1+rng.Intn(8))
+			for c := range rs {
+				for i := rng.Intn(2000); i > 0; i-- {
+					rs[c] = append(rs[c], pool[rng.Intn(len(pool))])
+				}
+			}
+			requireInitSeesRankRenaming(t, fmt.Sprintf("seed=%d bind=%d", seed, b), rn, rs)
+			if rng.Intn(2) == 0 {
+				rn.Release()
+			}
+		}
+	})
 }
 
 // TestRunnerRebindParams checks that one Runner can sweep parameters:

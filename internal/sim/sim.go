@@ -38,6 +38,13 @@
 // and offline constructions) are used as-is. Sparser inputs, such as
 // generated workloads with per-core namespaces, are renamed once on
 // bind: each page becomes its rank among the instance's distinct IDs.
+// The rename numbers pages by first appearance through an
+// open-addressing table, not a map, then sorts the distinct IDs.
+//
+// The serve loop makes one pass over the cores per step: the pass
+// serves, in core order, the cores whose clock is the step's time t,
+// and finds the next step's time as the min clock over the cores still
+// unfinished after it.
 //
 // Strategies see the engine's dense IDs everywhere: the instance Init
 // receives, the pages of OnHit, OnJoin and OnFault, the victims they
@@ -334,11 +341,12 @@ type engine struct {
 	// The renamed tables: names maps rank → original ID and denseSeqs
 	// holds the renamed sequences. Both are runner-owned and outlive
 	// Release and direct binds, so a rebind to the set they hold reuses
-	// them. first, keys and rank are scratch for building them, reused
-	// by rebinds without a Release in between and dropped by Release.
+	// them. first (the open-addressing first-appearance table, see
+	// rename), keys and rank are scratch for building them, reused by
+	// rebinds without a Release in between and dropped by Release.
 	names     []core.PageID
 	denseSeqs []core.Sequence
-	first     map[core.PageID]core.PageID
+	first     []uint64
 	keys      []uint64
 	rank      []core.PageID
 }
@@ -559,29 +567,69 @@ func maxPage(rs core.RequestSet) (maxID core.PageID, ok bool) {
 // a bitset reused across binds.
 func (e *engine) countDistinct(rs core.RequestSet, maxID core.PageID) int {
 	e.bits = growSlice(e.bits, int(maxID)/64+1)
-	clear(e.bits)
+	set := e.bits
+	clear(set)
+	distinct := 0
 	for _, seq := range rs {
 		for _, pg := range seq {
-			e.bits[pg/64] |= 1 << (pg % 64)
+			w, b := uint32(pg)/64, uint64(1)<<(uint32(pg)%64)
+			if set[w]&b == 0 {
+				set[w] |= b
+				distinct++
+			}
 		}
-	}
-	distinct := 0
-	for _, b := range e.bits {
-		distinct += bits.OnesCount64(b)
 	}
 	return distinct
 }
 
-// rename builds the renamed tables for rs: each page becomes its rank
-// among the distinct IDs. One map pass numbers pages by first
-// appearance; sorting the distinct IDs then turns first-appearance
-// numbers into ranks with array lookups only.
-func (e *engine) rename(rs core.RequestSet) {
-	if e.first == nil {
-		e.first = make(map[core.PageID]core.PageID, 64)
-	} else {
-		clear(e.first)
+// The rename's first-appearance table is open-addressing: Fibonacci
+// hashing, linear probing, at most a quarter full. A slot holds
+// ID<<32 | first+1, so 0 marks an empty slot even for page 0.
+const (
+	fibMul         = 0x9E3779B97F4A7C15 // 2^64 / golden ratio
+	minFirstSlots  = 64
+	firstLoadShift = 2 // load ≤ 1/4
+)
+
+// firstSlot returns the home slot of page pg in a table of 2^(64-shift)
+// slots.
+func firstSlot(pg core.PageID, shift uint) uint64 {
+	return uint64(uint32(pg)) * fibMul >> shift
+}
+
+// growFirst returns a table of twice tab's slots holding tab's entries.
+func growFirst(tab []uint64) []uint64 {
+	grown := make([]uint64, 2*len(tab))
+	shift, mask := 64-uint(bits.TrailingZeros(uint(len(grown)))), uint64(len(grown)-1)
+	for _, slot := range tab {
+		if slot == 0 {
+			continue
+		}
+		h := firstSlot(core.PageID(slot>>32), shift)
+		for grown[h] != 0 {
+			h = (h + 1) & mask
+		}
+		grown[h] = slot
 	}
+	return grown
+}
+
+// rename builds the renamed tables for rs: each page becomes its rank
+// among the distinct IDs. One pass through the open-addressing table
+// numbers pages by first appearance; sorting the distinct IDs then
+// turns first-appearance numbers into ranks with array lookups only.
+func (e *engine) rename(rs core.RequestSet) {
+	// names still holds the previous rename's distinct pages, even after
+	// Release, so sizing from its length keeps steady-state binds from
+	// growing the table.
+	slots := minFirstSlots
+	for slots < len(e.names)<<firstLoadShift {
+		slots *= 2
+	}
+	e.first = growSlice(e.first, slots)
+	clear(e.first)
+	tab := e.first
+	shift, mask := 64-uint(bits.TrailingZeros(uint(len(tab)))), uint64(len(tab)-1)
 	names := e.names[:0]
 	if cap(e.denseSeqs) < len(rs) {
 		e.denseSeqs = make([]core.Sequence, len(rs))
@@ -594,16 +642,30 @@ func (e *engine) rename(rs core.RequestSet) {
 		}
 		ds = ds[:len(seq)]
 		for i, pg := range seq {
-			f, ok := e.first[pg]
-			if !ok {
-				f = core.PageID(len(names))
-				names = append(names, pg)
-				e.first[pg] = f
+			h := firstSlot(pg, shift)
+			for {
+				slot := tab[h]
+				if slot == 0 {
+					f := len(names)
+					names = append(names, pg)
+					tab[h] = uint64(pg)<<32 | uint64(f+1)
+					ds[i] = core.PageID(f)
+					if len(names)<<firstLoadShift > len(tab) {
+						tab = growFirst(tab)
+						shift, mask = shift-1, uint64(len(tab)-1)
+					}
+					break
+				}
+				if uint32(slot>>32) == uint32(pg) {
+					ds[i] = core.PageID(uint32(slot) - 1)
+					break
+				}
+				h = (h + 1) & mask
 			}
-			ds[i] = f
 		}
 		e.denseSeqs[j] = ds
 	}
+	e.first = tab
 	// Page IDs are non-negative int32s: (ID << 32 | first) sorts by ID.
 	e.keys = growSlice(e.keys, len(names))
 	for f, pg := range names {
@@ -797,25 +859,25 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 	seqs := e.seqs
 	var served, nextCheck int64 = 0, cancelCheckEvery
 
-	for {
+	// t is the service time of the current step: the min clock over
+	// unfinished cores, MaxInt64 once every core has finished. Every
+	// clock starts at 0.
+	t := int64(math.MaxInt64)
+	for _, seq := range seqs {
+		if len(seq) > 0 {
+			t = 0
+			break
+		}
+	}
+	for t != math.MaxInt64 {
 		// Cooperative cancellation: one poll per cancelCheckEvery served
-		// requests (each outer iteration serves at least one request, so
-		// the gap between polls is bounded).
+		// requests (each step serves at least one request, so the gap
+		// between polls is bounded).
 		if served >= nextCheck {
 			nextCheck = served + cancelCheckEvery
 			if err := ctx.Err(); err != nil {
 				return res, fmt.Errorf("sim: strategy %s run aborted after %d requests: %w", s.Name(), served, err)
 			}
-		}
-		// Next service time: min clock over unfinished cores.
-		t := int64(math.MaxInt64)
-		for c := 0; c < p; c++ {
-			if e.idx[c] < len(seqs[c]) && e.next[c] < t {
-				t = e.next[c]
-			}
-		}
-		if t == int64(math.MaxInt64) {
-			break
 		}
 		e.now = t
 
@@ -838,58 +900,62 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 			}
 		}
 
-		for c := 0; c < p; c++ {
-			if e.idx[c] >= len(seqs[c]) || e.next[c] != t {
+		// One pass serves, in core order, the cores whose clock is t, and
+		// folds every unfinished core's clock, read after it is served,
+		// into the next step's time. Capacity changes and OnTick never
+		// move a clock or a position, and a served core's clock only
+		// rises, so the fold is exactly the min clock over the cores
+		// still unfinished after this step.
+		tNext := int64(math.MaxInt64)
+		for c, seq := range seqs {
+			i := e.idx[c]
+			if i >= len(seq) {
 				continue
 			}
-			i := e.idx[c]
-			served++
-			pg := seqs[c][i]
-			at := cache.Access{Core: c, Time: t, Index: i}
-			ev := Event{Time: t, Core: c, Index: i, Page: pg, Victim: core.NoPage}
-
-			ready := e.readyAt[pg]
-			switch {
-			case ready != notCached && ready <= t: // hit
-				res.Hits[c]++
-				e.idx[c] = i + 1
-				e.next[c] = t + 1
-				s.OnHit(pg, at)
-			case ready != notCached: // in-flight join
-				res.Faults[c]++
-				ev.Fault, ev.Join = true, true
-				e.idx[c] = i + 1
-				e.next[c] = t + e.tau + 1
-				s.OnJoin(pg, at)
-			default: // fault
-				res.Faults[c]++
-				ev.Fault = true
+			if e.next[c] == t {
+				served++
+				pg := seq[i]
+				at := cache.Access{Core: c, Time: t, Index: i}
+				victim := core.NoPage
 				// Advance this core's position before consulting the
 				// strategy so the oracle sees the post-service state.
 				e.idx[c] = i + 1
-				e.next[c] = t + e.tau + 1
-				victim := s.OnFault(pg, at, e)
-				if victim == core.NoPage {
-					if e.used >= e.k {
-						return res, fmt.Errorf("sim: strategy %s requested a free cell but cache is full (t=%d core=%d page=%d)", s.Name(), t, c, e.Original(pg))
-					}
-				} else {
-					if err := e.evict(victim, t); err != nil {
+				ready := e.readyAt[pg]
+				hit := ready != notCached && ready <= t
+				switch {
+				case hit:
+					res.Hits[c]++
+					e.next[c] = t + 1
+					s.OnHit(pg, at)
+				case ready != notCached: // in-flight join
+					res.Faults[c]++
+					e.next[c] = t + e.tau + 1
+					s.OnJoin(pg, at)
+				default: // fault
+					res.Faults[c]++
+					e.next[c] = t + e.tau + 1
+					victim = s.OnFault(pg, at, e)
+					if victim == core.NoPage {
+						if e.used >= e.k {
+							return res, fmt.Errorf("sim: strategy %s requested a free cell but cache is full (t=%d core=%d page=%d)", s.Name(), t, c, e.Original(pg))
+						}
+					} else if err := e.evict(victim, t); err != nil {
 						return res, fmt.Errorf("sim: strategy %s: %w", s.Name(), err)
 					}
-					ev.Victim = victim
+					e.readyAt[pg] = t + e.tau + 1
+					e.used++
 				}
-				e.readyAt[pg] = t + e.tau + 1
-				e.used++
+				if obs != nil {
+					obs(Event{Time: t, Core: c, Index: i, Page: e.Original(pg), Fault: !hit, Join: !hit && ready != notCached, Victim: e.Original(victim)})
+				}
+				if i+1 == len(seq) {
+					res.Finish[c] = e.next[c]
+					continue
+				}
 			}
-			if e.idx[c] == len(seqs[c]) {
-				res.Finish[c] = e.next[c]
-			}
-			if obs != nil {
-				ev.Page, ev.Victim = e.Original(ev.Page), e.Original(ev.Victim)
-				obs(ev)
-			}
+			tNext = min(tNext, e.next[c])
 		}
+		t = tNext
 	}
 
 	for c := 0; c < p; c++ {
@@ -967,7 +1033,8 @@ func (r *Runner) applyCapacity(t int64, s Strategy, obs Observer, res *Result) e
 }
 
 // release drops references to the caller's request set and the rename
-// scratch (a map keeps its buckets after clear) while keeping array
+// scratch (the first-appearance table, sized for the largest rename
+// since the last release, and the sort arrays) while keeping array
 // capacity, and the renamed tables, for the next bind.
 func (r *Runner) release() {
 	r.e.seqs = nil
