@@ -14,6 +14,7 @@ import (
 	"mcpaging/internal/core"
 	"mcpaging/internal/server"
 	"mcpaging/internal/sweep"
+	"mcpaging/internal/workload"
 )
 
 // newWorker starts a real in-process mcservd worker.
@@ -131,6 +132,57 @@ func TestFleetSweepMatchesSingleNode(t *testing.T) {
 	if f.met.cells.Load() != 16 || f.met.cellErrors.Load() != 0 {
 		t.Fatalf("cells=%d errors=%d, want 16/0", f.met.cells.Load(), f.met.cellErrors.Load())
 	}
+}
+
+// TestFleetSweepReusesWorkerSpec runs a sweep over a workload spec
+// through the fleet: the stream is byte-identical to a single node's,
+// and each worker generates the spec for the first cell it gets and
+// serves every later cell the set it kept.
+func TestFleetSweepReusesWorkerSpec(t *testing.T) {
+	workers := []*httptest.Server{newWorker(t, "w1"), newWorker(t, "w2")}
+	f := newTestFleet(t, []string{workers[0].URL, workers[1].URL}, DispatcherConfig{}, GatewayConfig{QuotaRate: -1})
+
+	req := fleetSweepRequest()
+	req.Trace = server.TraceInput{Workload: &workload.Spec{Kind: workload.Zipf, Cores: 2, Length: 400, Pages: 16, Seed: 3}}
+	fleetResp := postJSON(t, f.ts.URL+"/v1/sweep", req)
+	if fleetResp.StatusCode != http.StatusOK {
+		t.Fatalf("fleet sweep status %d: %s", fleetResp.StatusCode, readBody(t, fleetResp))
+	}
+	fleetBody := readBody(t, fleetResp)
+	directBody := readBody(t, postJSON(t, newWorker(t, "solo").URL+"/v1/sweep", req))
+	if !bytes.Equal(fleetBody, directBody) {
+		t.Fatalf("fleet sweep diverges from single node:\nfleet:\n%s\ndirect:\n%s", fleetBody, directBody)
+	}
+
+	var resolves, reuses float64
+	for _, w := range workers {
+		resp, err := http.Get(w.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := parseMetrics(t, string(readBody(t, resp)))
+		resolves += m["mcservd_trace_resolves_total"]
+		reuses += m["mcservd_trace_reuses_total"]
+	}
+	if resolves < 1 || resolves > float64(len(workers)) || resolves+reuses != 16 {
+		t.Fatalf("workers resolved %v and reused %v times for 16 cells; want one resolve per worker that got cells and the rest reused", resolves, reuses)
+	}
+}
+
+// parseMetrics reads the unlabelled samples of a Prometheus text body.
+func parseMetrics(t *testing.T, body string) map[string]float64 {
+	t.Helper()
+	samples := map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatalf("parsing %q: %v", line, err)
+			}
+			samples[f[0]] = v
+		}
+	}
+	return samples
 }
 
 // TestFleetRejectsTraceCapacity pins the coordinator's network
@@ -584,16 +636,7 @@ func TestWorkerDefaultQueueHoldsDispatcherInflight(t *testing.T) {
 	defer s.Drain()
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	gauges := map[string]float64{}
-	for _, line := range strings.Split(rec.Body.String(), "\n") {
-		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
-			v, err := strconv.ParseFloat(f[1], 64)
-			if err != nil {
-				t.Fatalf("parsing %q: %v", line, err)
-			}
-			gauges[f[0]] = v
-		}
-	}
+	gauges := parseMetrics(t, rec.Body.String())
 	holds := gauges["mcservd_workers"] + gauges["mcservd_queue_capacity"]
 	want := DispatcherConfig{}.withDefaults(1).WorkerInflight
 	if holds < float64(want) {

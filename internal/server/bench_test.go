@@ -47,49 +47,70 @@ func serve(b *testing.B, h http.Handler, path string, body []byte) *httptest.Res
 }
 
 // BenchmarkServeJob is one POST /v1/jobs of a 4 × 25 000 zipf job:
-// cold misses the result cache (each iteration's seed is new, so each
-// key is) and runs the job; cached answers a repeat from the cache.
+// cold misses the result cache with a fresh workload seed per
+// iteration, so each job generates, keys and renames its own set, as
+// the repository benchmark's job-cold does; cells misses it with jobs
+// over one workload, rotating strategies and fresh policy seeds, the
+// way a fleet worker receives a sweep's cells, so every job after the
+// first is served the set the trace step kept; cached answers repeats
+// from the cache, alternating two jobs over different workloads, as
+// job-hot cycles its jobs, so no request repeats the spec before it.
 func BenchmarkServeJob(b *testing.B) {
-	job := func(seed int64) JobRequest {
+	strategies := []string{"S(LRU)", "sP[even](LRU)", "dP(LRU)", "S(ARC)"}
+	job := func(wlSeed int64, strategy string, seed int64) JobRequest {
 		wl := benchJobSpec
-		return JobRequest{Trace: TraceInput{Workload: &wl}, Strategy: "S(LRU)", K: 256, Tau: 8, Seed: seed}
+		wl.Seed = wlSeed
+		return JobRequest{Trace: TraceInput{Workload: &wl}, Strategy: strategy, K: 256, Tau: 8, Seed: seed}
 	}
-	b.Run("cold", func(b *testing.B) {
-		s := New(Config{})
-		defer s.Drain()
-		h := s.Handler()
-		bodies := benchBodies(b, b.N, func(i int) interface{} { return job(int64(i)) })
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			serve(b, h, "/v1/jobs", bodies[i])
-		}
-	})
+	for _, arm := range []struct {
+		name string
+		req  func(i int) interface{}
+	}{
+		{"cold", func(i int) interface{} { return job(int64(i+1), "S(LRU)", 0) }},
+		{"cells", func(i int) interface{} { return job(1, strategies[i%len(strategies)], int64(i)) }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			s := New(Config{})
+			defer s.Drain()
+			h := s.Handler()
+			bodies := benchBodies(b, b.N, arm.req)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve(b, h, "/v1/jobs", bodies[i])
+			}
+		})
+	}
 	b.Run("cached", func(b *testing.B) {
 		s := New(Config{})
 		defer s.Drain()
 		h := s.Handler()
-		body := benchBodies(b, 1, func(int) interface{} { return job(0) })[0]
-		serve(b, h, "/v1/jobs", body)
+		hot := benchBodies(b, 2, func(i int) interface{} { return job(int64(i+1), "S(LRU)", 0) })
+		for _, body := range hot {
+			serve(b, h, "/v1/jobs", body)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			serve(b, h, "/v1/jobs", body)
+			serve(b, h, "/v1/jobs", hot[i%len(hot)])
 		}
 	})
 }
 
 // BenchmarkServeSweep is one POST /v1/sweep of a 16-cell grid (2 K ×
 // 2 τ × 4 strategies) over a 4 × 12 500 zipf workload, every cell a
-// cache miss, on a GOMAXPROCS-worker pool.
+// cache miss, on a GOMAXPROCS-worker pool. Each iteration's workload
+// seed is new, as in the repository benchmark's sweep workload, so each
+// sweep generates its set and the workers rename it.
 func BenchmarkServeSweep(b *testing.B) {
 	s := New(Config{})
 	defer s.Drain()
 	h := s.Handler()
 	bodies := benchBodies(b, b.N, func(i int) interface{} {
 		wl := benchSweepSpec
+		wl.Seed = int64(i + 1)
 		return SweepRequest{Trace: TraceInput{Workload: &wl}, Ks: []int{64, 256}, Taus: []int{0, 8},
-			Strategies: []string{"S(LRU)", "sP[even](LRU)", "dP(LRU)", "S(ARC)"}, Seed: int64(i)}
+			Strategies: []string{"S(LRU)", "sP[even](LRU)", "dP(LRU)", "S(ARC)"}, Seed: 1}
 	})
 	b.ReportAllocs()
 	b.ResetTimer()

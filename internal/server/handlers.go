@@ -118,12 +118,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding job: %v", err)
 		return
 	}
-	run, err := req.Resolve(s.cfg.MaxRequests)
+	run, set, err := req.resolve(s.traceStep(r.Context()))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		if r.Context().Err() == nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+		}
 		return
 	}
-	key := JobKey(run.R, run.Spec, run.Params, run.Seed)
+	key := set.key(run.Spec, run.Params, run.Seed)
 	// Cache lookup with per-key singleflight: concurrent misses on one
 	// key elect a leader that computes; followers wait for the flight
 	// to finish and re-check the cache instead of duplicating the run.
@@ -227,9 +229,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding sweep: %v", err)
 		return
 	}
-	runs, err := req.Resolve(s.cfg.MaxRequests)
+	runs, set, err := req.resolve(s.traceStep(r.Context()))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		if r.Context().Err() == nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+		}
 		return
 	}
 	type point struct {
@@ -238,7 +242,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		j    *job
 	}
 	var pts []*point
-	keyer := NewKeyer(runs[0].R) // every run of a sweep shares its request set
+	keyer := set.keyer() // every run of a sweep shares its request set
 	for _, run := range runs {
 		pt := &point{line: SweepLine{K: run.K, Tau: run.Tau, Capacity: run.Capacity, Spec: run.Spec}}
 		pt.line.Key = keyer.Key(run.Spec, run.Params, run.Seed)

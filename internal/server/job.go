@@ -36,6 +36,16 @@ type TraceInput struct {
 // trace once to compute routing keys and forwards the compact input
 // form to workers unchanged.
 func (t TraceInput) Resolve(maxRequests int) (core.RequestSet, error) {
+	if err := t.check(maxRequests); err != nil {
+		return nil, err
+	}
+	return t.materialise(maxRequests)
+}
+
+// check validates what Resolve can validate before it materialises the
+// set: exactly one input mode, and a workload spec that is valid and
+// within the budget.
+func (t TraceInput) check(maxRequests int) error {
 	modes := 0
 	if t.Inline != nil {
 		modes++
@@ -47,26 +57,34 @@ func (t TraceInput) Resolve(maxRequests int) (core.RequestSet, error) {
 		modes++
 	}
 	if modes != 1 {
-		return nil, fmt.Errorf("trace: exactly one of inline, workload, binary_b64 must be set (got %d)", modes)
+		return fmt.Errorf("trace: exactly one of inline, workload, binary_b64 must be set (got %d)", modes)
 	}
+	if t.Workload == nil {
+		return nil
+	}
+	spec := *t.Workload
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	// Check the budget before generating (Cores ≥ 1 and Length ≥ 0 are
+	// validated above; the per-factor checks rule out overflow).
+	if spec.Cores > maxRequests || spec.Length > maxRequests ||
+		int64(spec.Cores)*int64(spec.Length) > int64(maxRequests) {
+		return fmt.Errorf("trace: workload of %d x %d requests exceeds the per-job budget of %d", spec.Cores, spec.Length, maxRequests)
+	}
+	return nil
+}
+
+// materialise takes, generates or decodes the request set of an input
+// that passed check, and validates the set under the budget.
+func (t TraceInput) materialise(maxRequests int) (core.RequestSet, error) {
 	var rs core.RequestSet
 	switch {
 	case t.Inline != nil:
 		rs = core.RequestSet(t.Inline)
 	case t.Workload != nil:
-		spec := *t.Workload
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-		// Check the budget before generating (Cores ≥ 1 and Length ≥ 0
-		// are validated above; the per-factor checks rule out overflow).
-		if spec.Cores > maxRequests || spec.Length > maxRequests ||
-			int64(spec.Cores)*int64(spec.Length) > int64(maxRequests) {
-			return nil, fmt.Errorf("trace: workload of %d x %d requests exceeds the per-job budget of %d", spec.Cores, spec.Length, maxRequests)
-		}
 		var err error
-		rs, err = workload.Generate(spec)
-		if err != nil {
+		if rs, err = workload.Generate(*t.Workload); err != nil {
 			return nil, err
 		}
 	default:
@@ -148,26 +166,33 @@ type JobRequest struct {
 // are accepted: a client-supplied spec must never name a file on the
 // host.
 func (req JobRequest) Resolve(maxRequests int) (sweep.Job, error) {
+	run, _, err := req.resolve(plainTrace(maxRequests))
+	return run, err
+}
+
+// resolve is Resolve with its trace step supplied: mcservd's handlers
+// pass the server's, which reuses the last workload spec resolved.
+func (req JobRequest) resolve(step traceStep) (sweep.Job, traceSet, error) {
 	if req.Strategy == "" {
-		return sweep.Job{}, errors.New("strategy is required")
+		return sweep.Job{}, traceSet{}, errors.New("strategy is required")
 	}
 	params := core.Params{K: req.K, Tau: req.Tau}
 	if req.Capacity != "" {
 		sched, err := capacity.ParsePortableSchedule(req.Capacity, req.K)
 		if err != nil {
-			return sweep.Job{}, err
+			return sweep.Job{}, traceSet{}, err
 		}
 		params.Capacity = sched
 	}
 	if err := params.Validate(); err != nil {
-		return sweep.Job{}, err
+		return sweep.Job{}, traceSet{}, err
 	}
-	rs, err := req.Trace.Resolve(maxRequests)
+	set, err := step(req.Trace)
 	if err != nil {
-		return sweep.Job{}, err
+		return sweep.Job{}, traceSet{}, err
 	}
 	cell := sweep.Cell{K: req.K, Tau: req.Tau, Capacity: req.Capacity, Spec: req.Strategy}
-	return sweep.Job{Cell: cell, R: rs, Params: params, Seed: req.Seed}, nil
+	return sweep.Job{Cell: cell, R: set.rs, Params: params, Seed: req.Seed}, set, nil
 }
 
 // Result is the JSON shape of one simulation outcome — the unit the
@@ -223,12 +248,20 @@ type SweepRequest struct {
 // the grid, portable capacity families only. It is the only place
 // mcservd and the mcfleet coordinator parse a sweep.
 func (req SweepRequest) Resolve(maxRequests int) ([]sweep.Job, error) {
-	rs, err := req.Trace.Resolve(maxRequests)
+	runs, _, err := req.resolve(plainTrace(maxRequests))
+	return runs, err
+}
+
+// resolve is Resolve with its trace step supplied, like
+// JobRequest.resolve.
+func (req SweepRequest) resolve(step traceStep) ([]sweep.Job, traceSet, error) {
+	set, err := step(req.Trace)
 	if err != nil {
-		return nil, err
+		return nil, traceSet{}, err
 	}
-	return sweep.Grid{R: rs, Ks: req.Ks, Taus: req.Taus, Capacities: req.Capacities,
+	runs, err := sweep.Grid{R: set.rs, Ks: req.Ks, Taus: req.Taus, Capacities: req.Capacities,
 		Specs: req.Strategies, Seed: req.Seed, PortableOnly: true}.Jobs()
+	return runs, set, err
 }
 
 // SweepLine is one JSONL line of the sweep stream.

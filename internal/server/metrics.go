@@ -26,6 +26,9 @@ type serverMetrics struct {
 	timeouts  atomic.Int64 // jobs aborted by the per-job timeout
 	coalesced atomic.Int64 // duplicate concurrent jobs folded into one flight
 
+	traceResolves atomic.Int64 // trace inputs generated, decoded or taken inline
+	traceReuses   atomic.Int64 // workload traces served from the last spec's entry
+
 	mu       sync.Mutex
 	lat      [latWindow]float64 // seconds
 	latPos   int
@@ -99,6 +102,8 @@ func (m *serverMetrics) writePrometheus(w io.Writer, g gauges) error {
 	counter("mcservd_jobs_failed_total", "Jobs that ended in an error (including timeouts).", m.failed.Load())
 	counter("mcservd_jobs_timeout_total", "Jobs aborted by the per-job timeout.", m.timeouts.Load())
 	counter("mcservd_jobs_coalesced_total", "Duplicate concurrent jobs folded into another job's flight (singleflight).", m.coalesced.Load())
+	counter("mcservd_trace_resolves_total", "Trace inputs resolved afresh: generated, decoded or taken inline.", m.traceResolves.Load())
+	counter("mcservd_trace_reuses_total", "Workload traces served from the last workload spec resolved, without generating.", m.traceReuses.Load())
 	counter("mcservd_cache_hits_total", "Result-cache hits.", g.cacheHits)
 	counter("mcservd_cache_misses_total", "Result-cache misses.", g.cacheMisses)
 	gauge("mcservd_cache_entries", "Results currently cached.", float64(g.cacheEntries))

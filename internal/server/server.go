@@ -9,6 +9,13 @@
 //     spec, or binary trace; a strategyspec strategy; K/τ/capacity/seed),
 //     resolve it once (JobRequest.Resolve, SweepRequest.Resolve), then
 //     canonicalize the resolved run to a content-addressed key (hash.go).
+//     Both handlers resolve the trace through one trace step
+//     (tracestep.go) that keeps the last workload spec resolved and its
+//     request set: a job or sweep over an equal spec, such as the next
+//     cell of a fleet sweep, skips generation and is keyed from the
+//     set's stored encoding, built on the first reuse. The entry pins
+//     one request set, like the runner's last renamed set and the
+//     /metrics replay job.
 //   - The result cache (rescache.go) answers repeat jobs without
 //     touching the pool; eviction order is managed by an internal/cache
 //     LRU policy with a configurable entry budget.
@@ -114,6 +121,10 @@ type Server struct {
 	cache *resultCache
 
 	metrics serverMetrics
+
+	// traces is the trace step's reuse of the last workload spec
+	// resolved (resolveTrace).
+	traces traceReuse
 
 	drainMu  sync.RWMutex
 	draining bool

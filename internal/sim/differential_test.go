@@ -405,9 +405,10 @@ func sparseIDs(rng *rand.Rand, n, step, off int) []core.PageID {
 // 2^31−1 (the slot encoding must not confuse page 0 with an empty
 // slot), 100 000 distinct pages (the first-appearance table doubles
 // from its minimum size many times), a different set of that size
-// after Release (the table is rebuilt from the count names kept), and
-// a smaller and then a larger set without Release (the table is
-// reused, then outgrown).
+// after Release (the table is rebuilt from the count names kept), a
+// smaller and then a larger set without Release (the table is reused,
+// then outgrown), and sets of many requests over few pages, whose table
+// Release keeps, so the next binds reuse a table released earlier.
 func TestRenameMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	const big = 100000
@@ -422,6 +423,15 @@ func TestRenameMatchesSort(t *testing.T) {
 			larger[c] = append(larger[c], core.PageID(c<<16+rng.Intn(2000)))
 		}
 	}
+	repeats := func(off int) core.RequestSet {
+		rs := make(core.RequestSet, 3)
+		for c := range rs {
+			for i := 0; i < 6000; i++ {
+				rs[c] = append(rs[c], core.PageID(c<<16+off+rng.Intn(100)))
+			}
+		}
+		return rs
+	}
 	rn := new(sim.Runner)
 	for _, step := range []struct {
 		name    string
@@ -434,6 +444,9 @@ func TestRenameMatchesSort(t *testing.T) {
 		{"smaller", small, false},
 		{"larger", larger, true},
 		{"zero and max after release", core.RequestSet{{1<<31 - 1}, {0}}, false},
+		{"repeats", repeats(0), true},
+		{"repeats after release", repeats(50), true},
+		{"zero and max after a kept table", core.RequestSet{{1<<31 - 1, 0}, {7}}, false},
 	} {
 		requireInitSeesRankRenaming(t, step.name, rn, step.rs)
 		if step.release {

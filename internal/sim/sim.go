@@ -342,8 +342,9 @@ type engine struct {
 	// holds the renamed sequences. Both are runner-owned and outlive
 	// Release and direct binds, so a rebind to the set they hold reuses
 	// them. first (the open-addressing first-appearance table, see
-	// rename), keys and rank are scratch for building them, reused by
-	// rebinds without a Release in between and dropped by Release.
+	// rename), keys and rank are scratch for building them. Release
+	// drops keys and rank, and drops first only when it is larger than
+	// the renamed sequences.
 	names     []core.PageID
 	denseSeqs []core.Sequence
 	first     []uint64
@@ -1032,14 +1033,24 @@ func (r *Runner) applyCapacity(t int64, s Strategy, obs Observer, res *Result) e
 	return nil
 }
 
-// release drops references to the caller's request set and the rename
-// scratch (the first-appearance table, sized for the largest rename
-// since the last release, and the sort arrays) while keeping array
-// capacity, and the renamed tables, for the next bind.
+// release drops references to the caller's request set and the
+// rename's sort arrays while keeping array capacity, and the renamed
+// tables, for the next bind. The first-appearance table stays too when
+// it takes no more bytes (8 a slot) than the renamed sequences the
+// runner parks anyway (4 a request), so a worker renaming job after job
+// stops reallocating it; a table grown by a set of few requests over
+// many pages is dropped.
 func (r *Runner) release() {
 	r.e.seqs = nil
 	r.e.sched = nil
-	r.e.first, r.e.keys, r.e.rank = nil, nil, nil
+	n := 0
+	for _, ds := range r.e.denseSeqs {
+		n += len(ds)
+	}
+	if 8*cap(r.e.first) > 4*n {
+		r.e.first = nil
+	}
+	r.e.keys, r.e.rank = nil, nil
 	r.ca = nil
 }
 
