@@ -8,11 +8,11 @@ GO ?= go
 # Benchmarks the comparison targets track: the simulator serve paths,
 # the batch harness, the mcservd service path (jobs, sweeps, JobKey),
 # a sweep through an mcfleet gateway over two workers (BenchmarkFleet*),
-# workload generation (the generate half of Resolve), the eviction
-# policies on their own (BenchmarkPolicy*), plus the root throughput
-# benches.
-BENCH_PATTERN ?= BenchmarkSim|BenchmarkSweepGrid|BenchmarkServe|BenchmarkFleet|BenchmarkJobKey|BenchmarkGenerate|BenchmarkPolicy
-BENCH_PKGS ?= . ./internal/sim/ ./internal/sweep/ ./internal/server/ ./internal/fleet/ ./internal/workload/ ./internal/cache/
+# workload generation and binary-trace decode (the generate and decode
+# halves of Resolve), the eviction policies on their own
+# (BenchmarkPolicy*), plus the root throughput benches.
+BENCH_PATTERN ?= BenchmarkSim|BenchmarkSweepGrid|BenchmarkServe|BenchmarkFleet|BenchmarkJobKey|BenchmarkGenerate|BenchmarkTrace|BenchmarkPolicy
+BENCH_PKGS ?= . ./internal/sim/ ./internal/sweep/ ./internal/server/ ./internal/fleet/ ./internal/workload/ ./internal/trace/ ./internal/cache/
 BENCH_COUNT ?= 5
 
 all: build test lint

@@ -2,12 +2,15 @@ package server
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"mcpaging/internal/core"
+	"mcpaging/internal/trace"
 	"mcpaging/internal/workload"
 )
 
@@ -18,6 +21,7 @@ import (
 var (
 	benchJobSpec   = workload.Spec{Kind: workload.Zipf, Cores: 4, Length: 25000, Pages: 512, Seed: 1}
 	benchSweepSpec = workload.Spec{Kind: workload.Zipf, Cores: 4, Length: 12500, Pages: 512, Seed: 1}
+	benchTraceSpec = workload.Spec{Kind: workload.Phased, Cores: 8, Length: 12500, Pages: 256, SharedFrac: 0.1}
 )
 
 // benchBodies marshals one request body per iteration.
@@ -52,7 +56,8 @@ func serve(b *testing.B, h http.Handler, path string, body []byte) *httptest.Res
 // the repository benchmark's job-cold does; cells misses it with jobs
 // over one workload, rotating strategies and fresh policy seeds, the
 // way a fleet worker receives a sweep's cells, so every job after the
-// first is served the set the trace step kept; cached answers repeats
+// first is served the set the trace step kept; trace is job-trace's
+// binary-trace job (benchServeTraceJob); cached answers repeats
 // from the cache, alternating two jobs over different workloads, as
 // job-hot cycles its jobs, so no request repeats the spec before it.
 func BenchmarkServeJob(b *testing.B) {
@@ -81,6 +86,7 @@ func BenchmarkServeJob(b *testing.B) {
 			}
 		})
 	}
+	b.Run("trace", benchServeTraceJob)
 	b.Run("cached", func(b *testing.B) {
 		s := New(Config{})
 		defer s.Drain()
@@ -95,6 +101,45 @@ func BenchmarkServeJob(b *testing.B) {
 			serve(b, h, "/v1/jobs", hot[i%len(hot)])
 		}
 	})
+}
+
+// benchServeTraceJob is BenchmarkServeJob's trace arm, the repository
+// benchmark's job-trace request: a base64 binary trace of 8 × 12 500
+// phased requests with 10% shared pages, K 512 halving at step 6000, τ
+// 8, the job-trace strategies in rotation and a fresh policy seed per
+// job, so every job misses the cache and decodes its trace. Jobs rotate
+// over eight traces, so a worker's runner renames each set it binds,
+// as under job-trace's 64.
+func benchServeTraceJob(b *testing.B) {
+	strategies := []string{"S(LRU)", "eP[even](LRU)", "eP[fair](LRU)", "S(ARC)"}
+	heads := make([][]byte, 8)
+	for t := range heads {
+		spec := benchTraceSpec
+		spec.Seed = int64(t + 1)
+		rs, err := workload.Generate(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var raw bytes.Buffer
+		if err := trace.WriteBinary(&raw, rs); err != nil {
+			b.Fatal(err)
+		}
+		heads[t] = []byte(`{"trace":{"binary_b64":"` + base64.StdEncoding.EncodeToString(raw.Bytes()) + `"},`)
+	}
+	s := New(Config{})
+	defer s.Drain()
+	h := s.Handler()
+	var body []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// The body is the trace's head plus the job's fields, spliced
+		// into one reused buffer: a copy, not a marshal, per job.
+		body = append(body[:0], heads[i%len(heads)]...)
+		body = fmt.Appendf(body, `"strategy":%q,"k":512,"tau":8,"capacity":"step(to=50%%,at=6000)","seed":%d}`,
+			strategies[i%len(strategies)], i+1)
+		serve(b, h, "/v1/jobs", body)
+	}
 }
 
 // BenchmarkServeSweep is one POST /v1/sweep of a 16-cell grid (2 K ×

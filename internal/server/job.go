@@ -102,10 +102,11 @@ func (t TraceInput) materialise(maxRequests int) (core.RequestSet, error) {
 	return rs, nil
 }
 
-// decodeBinary decodes a base64 binary trace core by core, charging
-// each core's declared length against the budget before allocating it:
-// a few header bytes must not make the server allocate the 2^28
-// requests a core may claim.
+// decodeBinary decodes a base64 binary trace core by core, checking
+// each core's declared length before allocating it: a few header bytes
+// must not make the server allocate the 2^28 requests a core may claim.
+// The length is charged against the budget, and it may not exceed the
+// trace's byte count, since each request takes at least one byte.
 func decodeBinary(b64 string, maxRequests int) (core.RequestSet, error) {
 	raw, err := base64.StdEncoding.DecodeString(b64)
 	if err != nil {
@@ -127,6 +128,9 @@ func decodeBinary(b64 string, maxRequests int) (core.RequestSet, error) {
 		}
 		if total += n; total > maxRequests {
 			return nil, fmt.Errorf("trace: %d requests exceeds the per-job budget of %d", total, maxRequests)
+		}
+		if n > len(raw) {
+			return nil, fmt.Errorf("trace: binary_b64: core %d declares %d requests in a %d-byte trace", len(rs), n, len(raw))
 		}
 		seq := make(core.Sequence, n)
 		for off := 0; off < n; {

@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -614,9 +615,27 @@ func TestBinaryTraceBudgetCheckedWhileDecoding(t *testing.T) {
 	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
 		t.Fatalf("rejecting the trace allocated %d bytes, want < 1 MiB", n)
 	}
-	// Within budget, a trace cut short names the field it came from.
-	if _, err := b64(1, 3, 5).Resolve(8 << 20); err == nil || !strings.HasPrefix(err.Error(), "trace: binary_b64: ") {
-		t.Fatalf("truncated trace: err = %v, want a trace: binary_b64: error", err)
+	// Within budget, a trace cut short names the field it came from and
+	// reads as truncated, not as a core that ended.
+	if _, err := b64(1, 3, 5).Resolve(8 << 20); err == nil || !strings.HasPrefix(err.Error(), "trace: binary_b64: ") ||
+		!errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated trace: err = %v, want a trace: binary_b64: error wrapping io.ErrUnexpectedEOF", err)
+	}
+	// Within budget, a core may not declare more requests than the trace
+	// has bytes: 16 bytes claiming 8 Mi requests must not cost the
+	// 32 MiB that sequence would take.
+	lying := b64(1, 8<<20, 1, 1, 1, 1, 1, 1)
+	if raw, _ := base64.StdEncoding.DecodeString(lying.BinaryB64); len(raw) != 16 {
+		t.Fatalf("lying trace is %d bytes, want 16", len(raw))
+	}
+	runtime.ReadMemStats(&before)
+	_, err = lying.Resolve(8 << 20)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "declares 8388608 requests in a 16-byte trace") {
+		t.Fatalf("err = %v, want the declared-length error", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("rejecting the lying trace allocated %d bytes, want < 1 MiB", n)
 	}
 }
 

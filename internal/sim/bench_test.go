@@ -2,7 +2,9 @@ package sim_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	"mcpaging/internal/cache"
@@ -23,9 +25,10 @@ type benchShape struct {
 
 // benchShapes builds workloads engineered so one serve path dominates
 // (hit ≈ array lookup + Touch; fault ≈ eviction + table update; join ≈
-// in-flight check + Touch; scan ≈ memory-bound residency lookups).
+// in-flight check + Touch; scan ≈ memory-bound residency lookups; wide
+// ≈ the step scheduling of many cores).
 func benchShapes(perCore int) []benchShape {
-	shapes := make([]benchShape, 0, 3)
+	shapes := make([]benchShape, 0, 6)
 
 	// 4 cores cycling disjoint 16-page working sets inside K=128:
 	// everything past the first 64 requests is a hit.
@@ -76,6 +79,24 @@ func benchShapes(perCore int) []benchShape {
 	}
 	shapes = append(shapes, benchShape{"scan", scan, core.Params{K: 131072, Tau: 8},
 		func() sim.Strategy { return policy.NewShared(func() cache.Policy { return cache.NewFITF() }) }})
+
+	// 16 and 128 cores, one on each side of the engine's 64-core switch
+	// from due masks to the scan, each core drawing uniformly from its
+	// own 32 pages with 16 cells per core: about half the requests
+	// fault, so at a step most cores are waiting out a fetch. The total
+	// request count matches the 4-core shapes.
+	for _, p := range []int{16, 128} {
+		rng := rand.New(rand.NewSource(int64(p)))
+		wide := make(core.RequestSet, p)
+		for c := range wide {
+			seq := make(core.Sequence, 4*perCore/p)
+			for i := range seq {
+				seq[i] = core.PageID(c*32 + rng.Intn(32))
+			}
+			wide[c] = seq
+		}
+		shapes = append(shapes, benchShape{fmt.Sprintf("wide/%d", p), wide, core.Params{K: 16 * p, Tau: 8}, nil})
+	}
 
 	for i := range shapes {
 		if shapes[i].strat == nil {

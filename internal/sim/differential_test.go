@@ -173,16 +173,22 @@ func (f *tickFIFO) pop(v sim.View) core.PageID {
 }
 
 // TestDenseMatchesReferenceWide extends the differential corpus to
-// shapes randomInstance never draws: 1 to 16 cores, cores with no
-// requests, sets whose every core is empty, and τ up to 64. The serve
-// loop's single pass per step decides which cores are served at t and
-// when the next step is, so finished and empty cores and long fetches
-// are where it would diverge from the reference; tickFIFO makes every
-// step visible. Every instance runs at fixed K and under every elastic
-// schedule of the corpus.
+// shapes randomInstance never draws: 1 to 16 cores, and 63, 64, 65, 128
+// and 130 on both sides of the 64-core switch from the due masks to the
+// scan; cores with no requests, sets whose every core is empty, and τ
+// up to 64. The serve loop decides which cores are served at t and
+// when the next step is, so finished and empty cores, long fetches and
+// the mask's top bit are where it would diverge from the reference;
+// tickFIFO makes every step visible. Every instance runs at fixed K and
+// under every elastic schedule of the corpus. (wideInstance's sparse
+// IDs stay below 2^31 up to about 160 cores.)
 func TestDenseMatchesReferenceWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
+	var cores []int
 	for p := 1; p <= 16; p++ {
+		cores = append(cores, p)
+	}
+	for _, p := range append(cores, 63, 64, 65, 128, 130) {
 		for _, tau := range []int{0, 1, 8, 64} {
 			for _, shared := range []bool{false, true} {
 				in := wideInstance(rng, p, tau, shared, rng.Intn(2) == 0, p%5 == 0 && tau == 8)

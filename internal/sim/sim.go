@@ -41,10 +41,40 @@
 // The rename numbers pages by first appearance through an
 // open-addressing table, not a map, then sorts the distinct IDs.
 //
-// The serve loop makes one pass over the cores per step: the pass
-// serves, in core order, the cores whose clock is the step's time t,
-// and finds the next step's time as the min clock over the cores still
-// unfinished after it.
+// # The serve loop: due masks
+//
+// A step serves, in core order, the cores whose clock is the step's
+// time t. Under the timing model only a few of the p cores are due at
+// a step: a fault or a join stalls its core for τ+1 steps, and a
+// finished core is never due again. For request sets of at most 64
+// cores (maskCores), the loop keeps the due cores as uint64 masks, so a
+// step costs the cores it serves, not p:
+//
+//   - due holds the cores whose clock is t, served lowest bit first;
+//   - the cores that hit at t are due at t+1;
+//   - the cores that faulted or joined at t are due at t+τ+1. Each such
+//     step appends one (time, mask) segment to a runner-owned FIFO
+//     ring. Segment times rise with t, so the ring is in time order,
+//     and it holds at most min(p, τ+1) segments: their masks are
+//     disjoint and their times lie in (t, t+τ+1].
+//
+// The next step is at t+1 when any core hit, joined by the oldest
+// segment if it is due then too, and otherwise at the oldest segment's
+// time. With τ = 0 a fault's core is due at t+1 and joins the hit mask.
+//
+// Wider request sets keep the scan: one pass over all p cores per
+// step serves the cores whose clock is t and folds every unfinished
+// core's clock, read after it is served, into the next step's time.
+// No benchmark workload and no committed spec has more than 64 cores,
+// so the scan is the only path such sets run on; a multiword mask
+// scheduler would be more code for no measured gain. Both loops call
+// one serve step, engine.serve, which serves a mask of due cores: the
+// mask loop passes a step's whole due mask, the scan one core at a
+// time. So the hit, join and fault rules live in one place, and a step
+// of the mask loop costs one call, not one per core. Both loops find
+// the steps of RunReference's min-scan: capacity changes and OnTick
+// never move a clock or a position, and a served core's clock only
+// rises.
 //
 // Strategies see the engine's dense IDs everywhere: the instance Init
 // receives, the pages of OnHit, OnJoin and OnFault, the victims they
@@ -278,6 +308,17 @@ func (r Result) TotalHits() int64 {
 	return s
 }
 
+// maskCores is the widest request set the serve loop schedules
+// through due masks, one bit per core; wider sets take the scan.
+const maskCores = 64
+
+// dueSegment is one entry of the due-mask loop's FIFO: the cores that
+// faulted or joined at one step, all due again at time t.
+type dueSegment struct {
+	t    int64
+	mask uint64
+}
+
 // notCached is the readyAt sentinel for an absent page. Real
 // fetch-completion times are t+τ+1 ≥ 1, so zero is never ambiguous and
 // the array can be cleared with a memclr.
@@ -305,6 +346,11 @@ type engine struct {
 	seqs []core.Sequence // dense sequences (alias the input when direct)
 	next []int64         // per-core clock
 	idx  []int           // per-core next request index
+
+	// ring is the due-mask loop's FIFO of fault segments (see the
+	// package comment), indexed modulo maskCores from a head the run
+	// keeps.
+	ring [maskCores]dueSegment
 
 	readyAt []int64 // per dense page: fetch completion time, notCached if absent
 
@@ -858,18 +904,22 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 	}
 	r.ca = ca
 	seqs := e.seqs
+	wide := p > maskCores
 	var served, nextCheck int64 = 0, cancelCheckEvery
 
-	// t is the service time of the current step: the min clock over
-	// unfinished cores, MaxInt64 once every core has finished. Every
-	// clock starts at 0.
+	// t is the service time of the current step, MaxInt64 once every
+	// core has finished. Every clock starts at 0. Below maskCores, due
+	// holds the cores served at t, and head and n delimit the fault
+	// segments in e.ring.
 	t := int64(math.MaxInt64)
-	for _, seq := range seqs {
+	var due uint64
+	for c, seq := range seqs {
 		if len(seq) > 0 {
 			t = 0
-			break
+			due |= 1 << c // 0 past maskCores, where the scan ignores due
 		}
 	}
+	var head, n int
 	for t != math.MaxInt64 {
 		// Cooperative cancellation: one poll per cancelCheckEvery served
 		// requests (each step serves at least one request, so the gap
@@ -901,62 +951,58 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 			}
 		}
 
-		// One pass serves, in core order, the cores whose clock is t, and
-		// folds every unfinished core's clock, read after it is served,
-		// into the next step's time. Capacity changes and OnTick never
-		// move a clock or a position, and a served core's clock only
-		// rises, so the fold is exactly the min clock over the cores
-		// still unfinished after this step.
-		tNext := int64(math.MaxInt64)
-		for c, seq := range seqs {
-			i := e.idx[c]
-			if i >= len(seq) {
-				continue
-			}
-			if e.next[c] == t {
-				served++
-				pg := seq[i]
-				at := cache.Access{Core: c, Time: t, Index: i}
-				victim := core.NoPage
-				// Advance this core's position before consulting the
-				// strategy so the oracle sees the post-service state.
-				e.idx[c] = i + 1
-				ready := e.readyAt[pg]
-				hit := ready != notCached && ready <= t
-				switch {
-				case hit:
-					res.Hits[c]++
-					e.next[c] = t + 1
-					s.OnHit(pg, at)
-				case ready != notCached: // in-flight join
-					res.Faults[c]++
-					e.next[c] = t + e.tau + 1
-					s.OnJoin(pg, at)
-				default: // fault
-					res.Faults[c]++
-					e.next[c] = t + e.tau + 1
-					victim = s.OnFault(pg, at, e)
-					if victim == core.NoPage {
-						if e.used >= e.k {
-							return res, fmt.Errorf("sim: strategy %s requested a free cell but cache is full (t=%d core=%d page=%d)", s.Name(), t, c, e.Original(pg))
-						}
-					} else if err := e.evict(victim, t); err != nil {
-						return res, fmt.Errorf("sim: strategy %s: %w", s.Name(), err)
-					}
-					e.readyAt[pg] = t + e.tau + 1
-					e.used++
-				}
-				if obs != nil {
-					obs(Event{Time: t, Core: c, Index: i, Page: e.Original(pg), Fault: !hit, Join: !hit && ready != notCached, Victim: e.Original(victim)})
-				}
-				if i+1 == len(seq) {
-					res.Finish[c] = e.next[c]
+		if wide {
+			// The scan: serve the cores whose clock is t, each as a
+			// one-core mask, and fold every unfinished core's clock, read
+			// after it is served, into the next step's time.
+			tNext := int64(math.MaxInt64)
+			for c, seq := range seqs {
+				if e.idx[c] == len(seq) {
 					continue
 				}
+				if e.next[c] == t {
+					served++
+					if _, _, err := e.serve(c, 1, t, s, obs, &res); err != nil {
+						return res, err
+					}
+					if e.idx[c] == len(seq) {
+						continue
+					}
+				}
+				tNext = min(tNext, e.next[c])
 			}
-			tNext = min(tNext, e.next[c])
+			t = tNext
+			continue
 		}
-		t = tNext
+
+		// The due masks: serve the step's mask in one call. A core that
+		// hit is due at t+1; the cores that faulted or joined form this
+		// step's segment, due at t+τ+1; a finished core is in neither.
+		served += int64(bits.OnesCount64(due))
+		hits, faults, err := e.serve(0, due, t, s, obs, &res)
+		if err != nil {
+			return res, err
+		}
+		if faults != 0 {
+			e.ring[(head+n)&(maskCores-1)] = dueSegment{t + e.tau + 1, faults}
+			n++
+		}
+		// Every unfinished core is in hits or in one segment, and the
+		// oldest segment is the earliest, so the next step is at t+1 if
+		// any core hit, else at the oldest segment's time.
+		switch {
+		case hits != 0:
+			t, due = t+1, hits
+			if n > 0 && e.ring[head].t == t {
+				due |= e.ring[head].mask
+				head, n = (head+1)&(maskCores-1), n-1
+			}
+		case n > 0:
+			t, due = e.ring[head].t, e.ring[head].mask
+			head, n = (head+1)&(maskCores-1), n-1
+		default:
+			t = math.MaxInt64
+		}
 	}
 
 	for c := 0; c < p; c++ {
@@ -965,6 +1011,72 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 		}
 	}
 	return res, nil
+}
+
+// serve serves the next request of core base+b for each bit b of due,
+// in core order, all at time t. It is the one place the model's service
+// rules live, whichever loop schedules the cores: a hit takes one step;
+// a fault, or a join of a page already in flight, takes τ+1; a fault's
+// victim leaves the cache at t and the fetched page fills the cell
+// until t+τ+1. It returns, as bits of the same word, the served cores
+// due again at t+1 (those that hit, and with τ = 0 all of them) and at
+// t+τ+1 (those that faulted or joined); a core whose last request this
+// was is in neither. The due-mask loop serves a step's whole mask in
+// one call; the scan passes one core at a time.
+//
+//mcpaging:hotpath
+func (e *engine) serve(base int, due uint64, t int64, s Strategy, obs Observer, res *Result) (hits, faults uint64, err error) {
+	for m := due; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		c := base + b
+		seq := e.seqs[c]
+		i := e.idx[c]
+		pg := seq[i]
+		at := cache.Access{Core: c, Time: t, Index: i}
+		victim := core.NoPage
+		// Advance this core's position and clock before consulting the
+		// strategy so the oracle sees the post-service state.
+		e.idx[c] = i + 1
+		ready := e.readyAt[pg]
+		hit := ready != notCached && ready <= t
+		next := t + 1
+		if !hit {
+			next += e.tau
+		}
+		e.next[c] = next
+		switch {
+		case hit:
+			res.Hits[c]++
+			s.OnHit(pg, at)
+		case ready != notCached: // in-flight join
+			res.Faults[c]++
+			s.OnJoin(pg, at)
+		default: // fault
+			res.Faults[c]++
+			victim = s.OnFault(pg, at, e)
+			if victim == core.NoPage {
+				if e.used >= e.k {
+					return 0, 0, fmt.Errorf("sim: strategy %s requested a free cell but cache is full (t=%d core=%d page=%d)", s.Name(), t, c, e.Original(pg))
+				}
+			} else if err := e.evict(victim, t); err != nil {
+				return 0, 0, fmt.Errorf("sim: strategy %s: %w", s.Name(), err)
+			}
+			e.readyAt[pg] = next
+			e.used++
+		}
+		if obs != nil {
+			obs(Event{Time: t, Core: c, Index: i, Page: e.Original(pg), Fault: !hit, Join: !hit && ready != notCached, Victim: e.Original(victim)})
+		}
+		switch {
+		case i+1 == len(seq):
+			res.Finish[c] = next
+		case next == t+1:
+			hits |= 1 << b
+		default:
+			faults |= 1 << b
+		}
+	}
+	return hits, faults, nil
 }
 
 // checkSchedule validates a run's capacity schedule before the serve

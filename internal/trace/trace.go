@@ -94,7 +94,9 @@ func Read(r io.Reader) (core.RequestSet, error) {
 	if p < 1 || p > 1<<20 {
 		return nil, fmt.Errorf("trace: implausible core count %d", p)
 	}
-	rs := make(core.RequestSet, p)
+	// The set and each sequence grow as tokens arrive, as in ReadAll, so
+	// a header's counts cost memory only once the stream backs them.
+	rs := make(core.RequestSet, 0, min(p, readAllCores))
 	for j := 0; j < p; j++ {
 		if tok, err := next(); err != nil || tok != "core" {
 			return nil, fmt.Errorf("trace: expected 'core', got %q (err=%v)", tok, err)
@@ -113,7 +115,7 @@ func Read(r io.Reader) (core.RequestSet, error) {
 		if n < 0 || n > 1<<28 {
 			return nil, fmt.Errorf("trace: implausible sequence length %d", n)
 		}
-		seq := make(core.Sequence, n)
+		seq := make(core.Sequence, 0, min(n, readAllPages))
 		for i := 0; i < n; i++ {
 			v, err := nextInt()
 			if err != nil {
@@ -122,9 +124,12 @@ func Read(r io.Reader) (core.RequestSet, error) {
 			if v < 0 {
 				return nil, fmt.Errorf("trace: negative page %d", v)
 			}
-			seq[i] = core.PageID(v)
+			if v > 1<<31-1 {
+				return nil, fmt.Errorf("trace: page %d out of range", v)
+			}
+			seq = append(seq, core.PageID(v))
 		}
-		rs[j] = seq
+		rs = append(rs, seq)
 	}
 	return rs, nil
 }
