@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"mcpaging/internal/core"
 	"mcpaging/internal/metrics"
@@ -170,8 +169,8 @@ func runE10(cfg Config) (*Result, error) {
 	// Scaling in n with p=2, K=3, τ=1 fixed. The sequences are nested
 	// prefixes of one random pair, so the state counts are comparable
 	// across rows.
-	stbl := metrics.NewTable("Algorithm 1 state count and runtime vs n (p=2, K=3, τ=1)",
-		"n_per_core", "states", "min_faults", "ms")
+	stbl := metrics.NewTable("Algorithm 1 state count vs n (p=2, K=3, τ=1)",
+		"n_per_core", "states", "min_faults")
 	ns := []int{2, 3, 4, 5, 6}
 	if cfg.Quick {
 		ns = []int{2, 3, 4}
@@ -185,12 +184,11 @@ func runE10(cfg Config) (*Result, error) {
 	for _, n := range ns {
 		rs := core.RequestSet{full[0][:n], full[1][:n]}
 		in := core.Instance{R: rs, P: core.Params{K: 3, Tau: 1}}
-		start := time.Now()
 		sol, err := offline.SolveFTF(in, offline.Options{})
 		if err != nil {
 			return nil, err
 		}
-		stbl.AddRow(n, sol.States, sol.Faults, float64(time.Since(start).Microseconds())/1000.0)
+		stbl.AddRow(n, sol.States, sol.Faults)
 	}
 	res.Tables = append(res.Tables, stbl)
 
@@ -272,7 +270,7 @@ func runE11(cfg Config) (*Result, error) {
 	}
 
 	stbl := metrics.NewTable("Algorithm 2 state/pair counts vs n (p=2, K=3, τ=1, T=n(τ+1), b=n/2)",
-		"n_per_core", "states", "pairs", "answer", "ms")
+		"n_per_core", "states", "pairs", "answer")
 	ns := []int{2, 3, 4, 5}
 	if cfg.Quick {
 		ns = []int{2, 3}
@@ -290,12 +288,11 @@ func runE11(cfg Config) (*Result, error) {
 			T:      int64(n * 2),
 			Bounds: []int64{int64(n/2 + 1), int64(n/2 + 1)},
 		}
-		start := time.Now()
 		ans, st, err := offline.DecidePIF(pi, offline.Options{})
 		if err != nil {
 			return nil, err
 		}
-		stbl.AddRow(n, st.States, st.Pairs, ans, float64(time.Since(start).Microseconds())/1000.0)
+		stbl.AddRow(n, st.States, st.Pairs, ans)
 	}
 	res.Tables = append(res.Tables, stbl)
 	return res, nil

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"mcpaging/internal/core"
 	"mcpaging/internal/server"
 	"mcpaging/internal/sweep"
+	"mcpaging/internal/trace"
 	"mcpaging/internal/workload"
 )
 
@@ -101,36 +103,51 @@ func readBody(t *testing.T, resp *http.Response) []byte {
 
 // TestFleetSweepMatchesSingleNode is the tentpole acceptance check: a
 // fleet sweep over three workers streams byte-identical JSONL to the
-// same sweep on one standalone mcservd.
+// same sweep on one standalone mcservd. The sweep names its trace
+// inline, then as binary_b64, whose bodies the gateway and the workers
+// decode on the request decoder's fast path; both name one set, so
+// both stream the same bytes.
 func TestFleetSweepMatchesSingleNode(t *testing.T) {
-	urls := []string{
-		newWorker(t, "w1").URL,
-		newWorker(t, "w2").URL,
-		newWorker(t, "w3").URL,
+	var raw bytes.Buffer
+	if err := trace.WriteBinary(&raw, core.RequestSet(fleetTrace().Inline)); err != nil {
+		t.Fatal(err)
 	}
-	f := newTestFleet(t, urls, DispatcherConfig{}, GatewayConfig{QuotaRate: -1})
+	var want []byte
+	for _, in := range []server.TraceInput{fleetTrace(), {BinaryB64: base64.StdEncoding.EncodeToString(raw.Bytes())}} {
+		urls := []string{
+			newWorker(t, "w1").URL,
+			newWorker(t, "w2").URL,
+			newWorker(t, "w3").URL,
+		}
+		f := newTestFleet(t, urls, DispatcherConfig{}, GatewayConfig{QuotaRate: -1})
 
-	req := fleetSweepRequest()
-	fleetResp := postJSON(t, f.ts.URL+"/v1/sweep", req)
-	if fleetResp.StatusCode != http.StatusOK {
-		t.Fatalf("fleet sweep status %d: %s", fleetResp.StatusCode, readBody(t, fleetResp))
-	}
-	fleetBody := readBody(t, fleetResp)
+		req := fleetSweepRequest()
+		req.Trace = in
+		fleetResp := postJSON(t, f.ts.URL+"/v1/sweep", req)
+		if fleetResp.StatusCode != http.StatusOK {
+			t.Fatalf("fleet sweep status %d: %s", fleetResp.StatusCode, readBody(t, fleetResp))
+		}
+		fleetBody := readBody(t, fleetResp)
 
-	// Fresh standalone node: both sides compute every cell (no cache
-	// hits), so the streams must agree byte for byte.
-	direct := newWorker(t, "solo")
-	directResp := postJSON(t, direct.URL+"/v1/sweep", req)
-	if directResp.StatusCode != http.StatusOK {
-		t.Fatalf("direct sweep status %d", directResp.StatusCode)
-	}
-	directBody := readBody(t, directResp)
+		// Fresh standalone node: both sides compute every cell (no cache
+		// hits), so the streams must agree byte for byte.
+		direct := newWorker(t, "solo")
+		directResp := postJSON(t, direct.URL+"/v1/sweep", req)
+		if directResp.StatusCode != http.StatusOK {
+			t.Fatalf("direct sweep status %d", directResp.StatusCode)
+		}
+		directBody := readBody(t, directResp)
 
-	if !bytes.Equal(fleetBody, directBody) {
-		t.Fatalf("fleet sweep diverges from single node:\nfleet:\n%s\ndirect:\n%s", fleetBody, directBody)
-	}
-	if f.met.cells.Load() != 16 || f.met.cellErrors.Load() != 0 {
-		t.Fatalf("cells=%d errors=%d, want 16/0", f.met.cells.Load(), f.met.cellErrors.Load())
+		if !bytes.Equal(fleetBody, directBody) {
+			t.Fatalf("fleet sweep diverges from single node:\nfleet:\n%s\ndirect:\n%s", fleetBody, directBody)
+		}
+		if f.met.cells.Load() != 16 || f.met.cellErrors.Load() != 0 {
+			t.Fatalf("cells=%d errors=%d, want 16/0", f.met.cells.Load(), f.met.cellErrors.Load())
+		}
+		if want != nil && !bytes.Equal(fleetBody, want) {
+			t.Fatalf("binary_b64 sweep diverges from the inline one:\nbinary:\n%s\ninline:\n%s", fleetBody, want)
+		}
+		want = fleetBody
 	}
 }
 

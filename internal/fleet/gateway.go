@@ -258,9 +258,8 @@ func (g *Gateway) handleStrategies(w http.ResponseWriter, r *http.Request) {
 // dispatcher, passing the worker's response through unchanged and
 // naming the serving worker in Fleet-Worker-ID.
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBody)
 	var req server.JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := server.DecodeRequest(w, r, g.cfg.MaxBody, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding job: %v", err)
 		return
 	}
@@ -287,9 +286,8 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 // handleSweep admits a sweep (cost: its cell count) and streams the
 // dispatcher's canonically ordered JSONL merge.
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBody)
 	var req server.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := server.DecodeRequest(w, r, g.cfg.MaxBody, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding sweep: %v", err)
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -62,17 +63,12 @@ func serve(b *testing.B, h http.Handler, path string, body []byte) *httptest.Res
 // job-hot cycles its jobs, so no request repeats the spec before it.
 func BenchmarkServeJob(b *testing.B) {
 	strategies := []string{"S(LRU)", "sP[even](LRU)", "dP(LRU)", "S(ARC)"}
-	job := func(wlSeed int64, strategy string, seed int64) JobRequest {
-		wl := benchJobSpec
-		wl.Seed = wlSeed
-		return JobRequest{Trace: TraceInput{Workload: &wl}, Strategy: strategy, K: 256, Tau: 8, Seed: seed}
-	}
 	for _, arm := range []struct {
 		name string
 		req  func(i int) interface{}
 	}{
-		{"cold", func(i int) interface{} { return job(int64(i+1), "S(LRU)", 0) }},
-		{"cells", func(i int) interface{} { return job(1, strategies[i%len(strategies)], int64(i)) }},
+		{"cold", func(i int) interface{} { return benchWorkloadJob(int64(i+1), "S(LRU)", 0) }},
+		{"cells", func(i int) interface{} { return benchWorkloadJob(1, strategies[i%len(strategies)], int64(i)) }},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			s := New(Config{})
@@ -91,7 +87,7 @@ func BenchmarkServeJob(b *testing.B) {
 		s := New(Config{})
 		defer s.Drain()
 		h := s.Handler()
-		hot := benchBodies(b, 2, func(i int) interface{} { return job(int64(i+1), "S(LRU)", 0) })
+		hot := benchBodies(b, 2, func(i int) interface{} { return benchWorkloadJob(int64(i+1), "S(LRU)", 0) })
 		for _, body := range hot {
 			serve(b, h, "/v1/jobs", body)
 		}
@@ -103,6 +99,14 @@ func BenchmarkServeJob(b *testing.B) {
 	})
 }
 
+// benchWorkloadJob is BenchmarkServeJob's job over benchJobSpec with
+// workload seed wlSeed.
+func benchWorkloadJob(wlSeed int64, strategy string, seed int64) JobRequest {
+	wl := benchJobSpec
+	wl.Seed = wlSeed
+	return JobRequest{Trace: TraceInput{Workload: &wl}, Strategy: strategy, K: 256, Tau: 8, Seed: seed}
+}
+
 // benchServeTraceJob is BenchmarkServeJob's trace arm, the repository
 // benchmark's job-trace request: a base64 binary trace of 8 × 12 500
 // phased requests with 10% shared pages, K 512 halving at step 6000, τ
@@ -111,8 +115,24 @@ func BenchmarkServeJob(b *testing.B) {
 // over eight traces, so a worker's runner renames each set it binds,
 // as under job-trace's 64.
 func benchServeTraceJob(b *testing.B) {
-	strategies := []string{"S(LRU)", "eP[even](LRU)", "eP[fair](LRU)", "S(ARC)"}
-	heads := make([][]byte, 8)
+	heads := benchTraceHeads(b, 8)
+	s := New(Config{})
+	defer s.Drain()
+	h := s.Handler()
+	var body []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body = appendTraceJob(body[:0], heads[i%len(heads)], i)
+		serve(b, h, "/v1/jobs", body)
+	}
+}
+
+// benchTraceHeads returns the heads of n job-trace bodies, the trace
+// field of each, over benchTraceSpec with workload seeds 1 to n.
+func benchTraceHeads(b *testing.B, n int) [][]byte {
+	b.Helper()
+	heads := make([][]byte, n)
 	for t := range heads {
 		spec := benchTraceSpec
 		spec.Seed = int64(t + 1)
@@ -124,21 +144,56 @@ func benchServeTraceJob(b *testing.B) {
 		if err := trace.WriteBinary(&raw, rs); err != nil {
 			b.Fatal(err)
 		}
-		heads[t] = []byte(`{"trace":{"binary_b64":"` + base64.StdEncoding.EncodeToString(raw.Bytes()) + `"},`)
+		heads[t] = []byte(b64Head + base64.StdEncoding.EncodeToString(raw.Bytes()) + `"},`)
 	}
-	s := New(Config{})
-	defer s.Drain()
-	h := s.Handler()
-	var body []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// The body is the trace's head plus the job's fields, spliced
-		// into one reused buffer: a copy, not a marshal, per job.
-		body = append(body[:0], heads[i%len(heads)]...)
-		body = fmt.Appendf(body, `"strategy":%q,"k":512,"tau":8,"capacity":"step(to=50%%,at=6000)","seed":%d}`,
-			strategies[i%len(strategies)], i+1)
-		serve(b, h, "/v1/jobs", body)
+	return heads
+}
+
+// traceStrategies are the job-trace workload's strategies.
+var traceStrategies = []string{"S(LRU)", "eP[even](LRU)", "eP[fair](LRU)", "S(ARC)"}
+
+// appendTraceJob appends job i of job-trace to body: head, then the
+// job's fields. Splicing copies the trace instead of marshalling it
+// per job, as the repository benchmark does.
+func appendTraceJob(body, head []byte, i int) []byte {
+	body = append(body, head...)
+	return fmt.Appendf(body, `"strategy":%q,"k":512,"tau":8,"capacity":"step(to=50%%,at=6000)","seed":%d}`,
+		traceStrategies[i%len(traceStrategies)], i+1)
+}
+
+// BenchmarkServeDecode times the request-body decoder alone, as the
+// job handler calls it: trace on the first job-trace body of
+// BenchmarkServeJob/trace, workload on a job-cold body of
+// BenchmarkServeJob/cold.
+func BenchmarkServeDecode(b *testing.B) {
+	coldBody, err := json.Marshal(benchWorkloadJob(1, "S(LRU)", 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name string
+		body []byte
+	}{
+		{"trace", appendTraceJob(nil, benchTraceHeads(b, 1)[0], 0)},
+		{"workload", coldBody},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			w := httptest.NewRecorder()
+			r := httptest.NewRequest(http.MethodPost, "/v1/jobs", nil)
+			r.ContentLength = int64(len(arm.body))
+			rd := bytes.NewReader(nil)
+			b.SetBytes(int64(len(arm.body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(arm.body)
+				r.Body = io.NopCloser(rd)
+				var req JobRequest
+				if err := DecodeRequest(w, r, 64<<20, &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -112,9 +112,8 @@ func (s *Server) handleStrategies(w http.ResponseWriter, _ *http.Request) {
 // handleJob serves POST /v1/jobs: resolve → canonical key → cache →
 // queue → worker → respond. See docs/server.md for the lifecycle.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := DecodeRequest(w, r, s.cfg.MaxBody, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding job: %v", err)
 		return
 	}
@@ -223,9 +222,8 @@ func (s *Server) finishJob(w http.ResponseWriter, key string, start time.Time, o
 // them. Backpressure is the stream itself: submission into the bounded
 // queue blocks, so a sweep never overruns the pool.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := DecodeRequest(w, r, s.cfg.MaxBody, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding sweep: %v", err)
 		return
 	}

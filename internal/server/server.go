@@ -6,8 +6,10 @@
 // Architecture, front to back:
 //
 //   - Handlers decode a job (inline request set, workload generator
-//     spec, or binary trace; a strategyspec strategy; K/τ/capacity/seed),
-//     resolve it once (JobRequest.Resolve, SweepRequest.Resolve), then
+//     spec, or binary trace; a strategyspec strategy; K/τ/capacity/seed)
+//     through one body decoder (decode.go), which mcfleet's gateway
+//     shares and which lifts a binary trace's base64 payload out of the
+//     JSON instead of scanning it, then resolve it once (JobRequest.Resolve, SweepRequest.Resolve), then
 //     canonicalize the resolved run to a content-addressed key (hash.go).
 //     Both handlers resolve the trace through one trace step
 //     (tracestep.go) that keeps the last workload spec resolved and its

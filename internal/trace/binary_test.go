@@ -229,11 +229,34 @@ func FuzzReadAuto(f *testing.F) {
 // package doc's streaming loop and through ReadBinary: a stream that
 // ends inside a core or before a declared core must not read as a
 // complete trace. The traces mix empty cores and 1- to 5-byte deltas.
+// The first three are also cut as text traces, through Read, where a
+// cut between tokens must fail the same way. A cut inside a token
+// leaves a prefix of it, a keyword Read rejects or a smaller number, so
+// there Read need only fail, except inside the last page, whose prefix
+// completes a smaller trace.
 func TestTruncatedTraceIsUnexpectedEOF(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 20; i++ {
 		rs := randomSet(rng)
 		rs = append(rs, core.Sequence{}, core.Sequence{0, 1<<31 - 1, 0, 300, 200})
+		if i < 3 {
+			var txt bytes.Buffer
+			if err := Write(&txt, rs); err != nil {
+				t.Fatal(err)
+			}
+			data := bytes.TrimRight(txt.Bytes(), "\n")
+			last := bytes.LastIndexAny(data, " \n") + 1
+			space := func(at int) bool { return data[at] == ' ' || data[at] == '\n' }
+			for cut := 0; cut < len(data); cut++ {
+				_, err := Read(bytes.NewReader(data[:cut]))
+				if between := cut == 0 || space(cut-1) || space(cut); between && !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("set %d cut at %d of %d text bytes, between tokens: Read = %v, want io.ErrUnexpectedEOF", i, cut, len(data), err)
+				}
+				if err == nil && cut < last {
+					t.Fatalf("set %d cut at %d of %d text bytes: Read succeeded", i, cut, len(data))
+				}
+			}
+		}
 		var bin bytes.Buffer
 		if err := WriteBinary(&bin, rs); err != nil {
 			t.Fatal(err)

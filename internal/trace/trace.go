@@ -16,6 +16,7 @@ package trace
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -79,13 +80,13 @@ func Read(r io.Reader) (core.RequestSet, error) {
 	}
 
 	if tok, err := next(); err != nil || tok != magic {
-		return nil, fmt.Errorf("trace: bad magic %q (err=%v)", tok, err)
+		return nil, keywordErr("bad magic %q", tok, err)
 	}
 	if tok, err := next(); err != nil || tok != version {
-		return nil, fmt.Errorf("trace: unsupported version %q (err=%v)", tok, err)
+		return nil, keywordErr("unsupported version %q", tok, err)
 	}
 	if tok, err := next(); err != nil || tok != "cores" {
-		return nil, fmt.Errorf("trace: expected 'cores', got %q (err=%v)", tok, err)
+		return nil, keywordErr("expected 'cores', got %q", tok, err)
 	}
 	p, err := nextInt()
 	if err != nil {
@@ -99,7 +100,7 @@ func Read(r io.Reader) (core.RequestSet, error) {
 	rs := make(core.RequestSet, 0, min(p, readAllCores))
 	for j := 0; j < p; j++ {
 		if tok, err := next(); err != nil || tok != "core" {
-			return nil, fmt.Errorf("trace: expected 'core', got %q (err=%v)", tok, err)
+			return nil, keywordErr("expected 'core', got %q", tok, err)
 		}
 		idx, err := nextInt()
 		if err != nil {
@@ -132,4 +133,16 @@ func Read(r io.Reader) (core.RequestSet, error) {
 		rs = append(rs, seq)
 	}
 	return rs, nil
+}
+
+// keywordErr is Read's error at a position that must hold a keyword:
+// format names what was found there. When the stream ended or failed
+// first, the error wraps the scanner's, so a cut text trace reads as
+// io.ErrUnexpectedEOF, as a cut binary trace does.
+func keywordErr(format, tok string, err error) error {
+	msg := "trace: " + fmt.Sprintf(format, tok)
+	if err != nil {
+		return fmt.Errorf("%s: %w", msg, err)
+	}
+	return errors.New(msg)
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"reflect"
@@ -106,8 +107,8 @@ func TestReadBoundsLyingHeader(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		_, err := Read(strings.NewReader(in))
 		runtime.ReadMemStats(&after)
-		if err == nil || !strings.Contains(err.Error(), io.ErrUnexpectedEOF.Error()) {
-			t.Fatalf("%q: err = %v, want an unexpected EOF", in, err)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%q: err = %v, want io.ErrUnexpectedEOF", in, err)
 		}
 		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
 			t.Fatalf("%q: allocated %d bytes, want < 1 MiB", in, n)
