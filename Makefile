@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint bench bench-baseline benchstat soak experiments cover cover-gate smoke serve fleet verify verify-quick verify-baseline clean
+.PHONY: all build test vet fmt lint bench bench-baseline benchstat soak experiments results cover cover-gate smoke serve fleet verify verify-quick verify-baseline clean
 
 # Benchmarks the comparison targets track: the simulator serve paths,
 # the batch harness, the mcservd service path (jobs, sweeps, JobKey),
@@ -59,6 +59,11 @@ soak:
 # Full-size reproduction of every paper claim (EXPERIMENTS.md tables).
 experiments:
 	$(GO) run ./cmd/mcexp
+
+# Rewrite docs/results-full.md, the checked record of `mcexp -format md`
+# (TestResultsFullRecord fails until it matches).
+results:
+	$(GO) test ./internal/experiments -run TestResultsFullRecord -update
 
 smoke:
 	./scripts/smoke.sh

@@ -29,15 +29,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"mcpaging/internal/fleet"
+	"mcpaging/internal/server"
 )
 
 // workerList collects repeated -worker flags.
@@ -113,41 +110,15 @@ func main() {
 	reg.ProbeAll(context.Background())
 	reg.Start(context.Background())
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := server.Listen(*addr, *addrFile)
 	if err != nil {
 		fatal(err)
 	}
-	bound := ln.Addr().String()
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "mcfleet: listening on %s, %d workers\n", bound, len(workers))
-
-	httpSrv := &http.Server{
-		Handler:           gw.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		fmt.Fprintf(os.Stderr, "mcfleet: %v, draining\n", sig)
-	case err := <-errCh:
+	fmt.Fprintf(os.Stderr, "mcfleet: routing over %d workers\n", len(workers))
+	// Like mcservd: Serve waits up to the drain budget for in-flight
+	// handlers; then stop admission and the probe loop.
+	if err := server.Serve(context.Background(), "mcfleet", ln, gw.Handler(), *drainTimeout); err != nil {
 		fatal(err)
-	}
-
-	// Mirror mcservd's drain: stop accepting connections, wait for
-	// in-flight handlers up to the budget, then stop admission and the
-	// probe loop.
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "mcfleet: shutdown: %v\n", err)
 	}
 	gw.Drain()
 	reg.Close()

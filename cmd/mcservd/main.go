@@ -26,11 +26,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"mcpaging/internal/server"
@@ -51,15 +47,13 @@ func main() {
 	)
 	flag.Parse()
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := server.Listen(*addr, *addrFile)
 	if err != nil {
 		fatal(err)
 	}
-	bound := ln.Addr().String()
 	if *workerID == "" {
-		*workerID = bound
+		*workerID = ln.Addr().String()
 	}
-
 	s := server.New(server.Config{
 		Workers:      *workers,
 		QueueDepth:   *queue,
@@ -69,35 +63,10 @@ func main() {
 		MaxBody:      *maxBody,
 		WorkerID:     *workerID,
 	})
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "mcservd: listening on %s\n", bound)
-
-	httpSrv := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		fmt.Fprintf(os.Stderr, "mcservd: %v, draining\n", sig)
-	case err := <-errCh:
+	// Serve waits up to the drain budget for in-flight handlers, each
+	// blocked on its job; Drain then stops the pool.
+	if err := server.Serve(context.Background(), "mcservd", ln, s.Handler(), *drainTimeout); err != nil {
 		fatal(err)
-	}
-
-	// Stop accepting connections and wait for in-flight handlers (each
-	// blocked on its job) up to the drain budget, then stop the pool.
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "mcservd: shutdown: %v\n", err)
 	}
 	s.Drain()
 	fmt.Fprintln(os.Stderr, "mcservd: drained, bye")

@@ -293,7 +293,7 @@ func sortDiags(out []Diagnostic) {
 func DefaultSuite() []*Analyzer {
 	return []*Analyzer{
 		Detmap(),
-		Wallclock(DefaultWallclockAllow()),
+		Wallclock(),
 		Globalrand(),
 		Hotalloc(),
 		Obsguard(),

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // clockReadFact marks a function that (transitively) samples the wall
@@ -25,25 +24,20 @@ func (clockReadFact) AFact() {}
 // package through an injected Clock interface value:
 //
 //   - a method whose receiver implements a same-package interface named
-//     Clock may read the clock (it IS the injection boundary — this
-//     structural proof replaces the old name-based sysClock allowlist);
+//     Clock may read the clock (it IS the injection boundary, and the
+//     one exemption wallclock makes too);
 //   - calls through a Clock interface resolve to the interface method,
 //     which has no body and hence no fact — the legitimate path;
 //   - a static call that bypasses the interface (sysClock{}.Now(), or a
 //     helper that transitively reads the clock) carries the fact and is
 //     reported.
-//
-// Functions on the wallclock latency-metrics allowlist are fact-free:
-// the allowlist asserts their clock reads never reach a result, so
-// calling them is fine too.
 func Clockflow() *Analyzer {
 	a := &Analyzer{
 		Name:     "clockflow",
 		Doc:      "requires wall-clock time in critical packages to flow through an injected Clock",
 		Critical: true,
 	}
-	allow := DefaultWallclockAllow()
-	a.Run = func(pass *Pass) { runClockflow(pass, allow) }
+	a.Run = runClockflow
 	return a
 }
 
@@ -76,44 +70,14 @@ func isClockImplMethod(pkg *types.Package, info *types.Info, fd *ast.FuncDecl) b
 	return types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)
 }
 
-// wallclockAllowed reports whether fn is on the wallclock latency
-// allowlist, rendering its display name ("F", "(T).M", "(*T).M") from
-// the type object so callers need no AST.
-func wallclockAllowed(allow map[string][]string, fn *types.Func) bool {
-	if fn.Pkg() == nil {
-		return false
-	}
-	pkgPath := fn.Pkg().Path()
-	display := fn.Name()
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		// An empty qualifier omits the package prefix, matching
-		// funcDisplayName's "(T).M" / "(*T).M" rendering.
-		display = "(" + types.TypeString(sig.Recv().Type(), func(*types.Package) string { return "" }) + ")." + fn.Name()
-	}
-	for suffix, fns := range allow {
-		if pkgPath != suffix && !strings.HasSuffix(pkgPath, "/"+suffix) && !strings.HasSuffix(pkgPath, suffix) {
-			continue
-		}
-		for _, f := range fns {
-			if f == display {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func runClockflow(pass *Pass, allow map[string][]string) {
+func runClockflow(pass *Pass) {
 	info := pass.TypesInfo
 
 	// Direct facts: functions whose own body calls a banned time
-	// function. Allowlisted latency metrics are deliberately fact-free.
+	// function.
 	for _, fnKey := range pass.Graph.CallerKeys() {
 		fn := pass.Graph.Funcs[fnKey]
 		fd := pass.Graph.Decls[fnKey]
-		if wallclockAllowed(allow, fn) {
-			continue
-		}
 		var why string
 		var at token.Pos
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -135,13 +99,8 @@ func runClockflow(pass *Pass, allow map[string][]string) {
 		}
 	}
 
-	// Same-package fixpoint (imported facts already present). An
-	// allowlisted caller stays fact-free, so latency metrics do not
-	// taint their callers.
+	// Same-package fixpoint (imported facts already present).
 	pass.Graph.Fixpoint(func(caller *types.Func, e CallEdge) bool {
-		if wallclockAllowed(allow, caller) || wallclockAllowed(allow, e.Callee) {
-			return false
-		}
 		var cf clockReadFact
 		if !pass.Facts.ImportFuncFact(e.Callee, &cf) || pass.Facts.HasFuncFact(caller, clockReadFact{}) {
 			return false
@@ -158,14 +117,11 @@ func runClockflow(pass *Pass, allow map[string][]string) {
 	// analyzers partition the space instead of double-reporting.
 	for _, fnKey := range pass.Graph.CallerKeys() {
 		fd := pass.Graph.Decls[fnKey]
-		if isClockImplMethod(pass.Pkg, info, fd) || wallclockAllowed(allow, pass.Graph.Funcs[fnKey]) {
+		if isClockImplMethod(pass.Pkg, info, fd) {
 			continue
 		}
 		for _, e := range pass.Graph.Edges[fnKey] {
 			if e.Callee.Pkg() != nil && e.Callee.Pkg().Path() == "time" {
-				continue
-			}
-			if wallclockAllowed(allow, e.Callee) {
 				continue
 			}
 			var cf clockReadFact

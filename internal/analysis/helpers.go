@@ -24,16 +24,6 @@ func hasHotpathDirective(fd *ast.FuncDecl) bool {
 	return false
 }
 
-// funcDisplayName renders a FuncDecl's name the way the wallclock
-// allowlist spells it: "F" for functions, "(T).M" or "(*T).M" for
-// methods.
-func funcDisplayName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	return "(" + types.ExprString(fd.Recv.List[0].Type) + ")." + fd.Name.Name
-}
-
 // inspectStack walks root in source order, calling f with every node
 // and the stack of its ancestors (outermost first, root excluded).
 // Returning false from f skips the node's children.

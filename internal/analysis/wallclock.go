@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"strings"
-)
+import "go/ast"
 
 // wallclockBanned are the time-package functions that read the wall
 // clock or schedule against it. time.Duration arithmetic and constants
@@ -19,81 +16,36 @@ var wallclockBanned = map[string]bool{
 	"AfterFunc": true,
 }
 
-// DefaultWallclockAllow is the standard wallclock allowlist: functions
-// that measure request latency for the mcservd /metrics endpoint.
-// Latency is operational telemetry about the service, not simulation
-// output — it never reaches a result, manifest or cache key.
-//
-// The fleet's sysClock methods used to be listed here by name; they are
-// now exempted structurally instead — any method of a type implementing
-// a same-package `Clock` interface is an injection boundary by
-// construction (see clockflow), so renaming sysClock cannot silently
-// open a wall-clock escape hatch.
-func DefaultWallclockAllow() map[string][]string {
-	return map[string][]string{
-		"internal/server": {"(*Server).handleJob", "(*Server).finishJob"},
-	}
-}
-
 // Wallclock returns the wallclock analyzer: it forbids reading the
 // wall clock in determinism-critical packages, so results, manifests
-// and exports stay timestamp-free and byte-reproducible. allow maps an
-// import-path suffix to function names (as rendered by
-// funcDisplayName) that may legitimately sample the clock, e.g. server
-// latency metrics.
-func Wallclock(allow map[string][]string) *Analyzer {
+// and exports stay timestamp-free and byte-reproducible. The one
+// exemption is structural: the methods of a type implementing a
+// same-package `Clock` interface are the clock-injection boundary, and
+// everything else reads time through that interface.
+func Wallclock() *Analyzer {
 	a := &Analyzer{
 		Name:     "wallclock",
 		Doc:      "forbids wall-clock reads in determinism-critical packages",
 		Critical: true,
 	}
-	allowed := func(pkgPath, fn string) bool {
-		for suffix, fns := range allow {
-			if pkgPath != suffix && !strings.HasSuffix(pkgPath, "/"+suffix) && !strings.HasSuffix(pkgPath, suffix) {
-				continue
-			}
-			for _, f := range fns {
-				if f == fn {
-					return true
-				}
-			}
-		}
-		return false
-	}
 	a.Run = func(pass *Pass) {
-		check := func(fnName string, root ast.Node) {
-			ast.Inspect(root, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				name, ok := pkgFunc(pass.TypesInfo, call, "time")
-				if !ok || !wallclockBanned[name] {
-					return true
-				}
-				if fnName != "" && allowed(pass.PkgPath, fnName) {
-					return true
-				}
-				pass.Reportf(call.Pos(),
-					"time.%s reads the wall clock in a determinism-critical package; results and manifests must be timestamp-free (//mcvet:ignore wallclock <reason> to override)",
-					name)
-				return true
-			})
-		}
 		for _, f := range pass.Files {
 			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					// Methods of a type implementing a same-package Clock
-					// interface are the clock-injection boundary: they may
-					// read the wall clock by construction.
-					if fd.Body != nil && !isClockImplMethod(pass.Pkg, pass.TypesInfo, fd) {
-						check(funcDisplayName(fd), fd.Body)
-					}
+				if fd, ok := decl.(*ast.FuncDecl); ok && (fd.Body == nil || isClockImplMethod(pass.Pkg, pass.TypesInfo, fd)) {
 					continue
 				}
-				// Package-level declarations (var initializers) have no
-				// enclosing function and cannot be allowlisted.
-				check("", decl)
+				ast.Inspect(decl, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					if name, ok := pkgFunc(pass.TypesInfo, call, "time"); ok && wallclockBanned[name] {
+						pass.Reportf(call.Pos(),
+							"time.%s reads the wall clock in a determinism-critical package; results and manifests must be timestamp-free (//mcvet:ignore wallclock <reason> to override)",
+							name)
+					}
+					return true
+				})
 			}
 		}
 	}

@@ -8,14 +8,5 @@ import (
 )
 
 func TestWallclock(t *testing.T) {
-	analysistest.Run(t, analysis.Wallclock(analysis.DefaultWallclockAllow()), "wallclock")
-}
-
-// TestWallclockAllowlist injects a fixture-specific allowlist, the same
-// mechanism that exempts mcservd's request-latency metrics.
-func TestWallclockAllowlist(t *testing.T) {
-	allow := map[string][]string{
-		"wallclockallow": {"(*Server).handleJob"},
-	}
-	analysistest.Run(t, analysis.Wallclock(allow), "wallclockallow")
+	analysistest.Run(t, analysis.Wallclock(), "wallclock")
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"mcpaging/internal/core"
 	"mcpaging/internal/metrics"
@@ -46,7 +48,9 @@ func runE13(cfg Config) (*Result, error) {
 	}
 	specs = append(specs, "sP[even](LRU)", "sP[opt](LRU)", "dP(LRU)", "dP[ucp](LRU)", "dP[fair](LRU)")
 
-	for _, kind := range workload.Kinds() {
+	kinds := workload.Kinds()
+	runs := make([][]sim.Result, len(kinds)) // [workload][spec]
+	for ki, kind := range kinds {
 		rs := mix[kind]
 		params := core.Params{K: k, Tau: tau}
 		// Solo baselines for weighted speedup: each core alone with the
@@ -78,6 +82,7 @@ func runE13(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			runs[ki] = append(runs[ki], r)
 			tbl.AddRow(spec, r.TotalFaults(),
 				float64(r.TotalFaults())/float64(rs.TotalLen()),
 				metrics.JainIndex(r.Faults),
@@ -85,7 +90,45 @@ func runE13(cfg Config) (*Result, error) {
 		}
 		res.Tables = append(res.Tables, tbl)
 	}
-	res.Notes = append(res.Notes,
-		"no strategy dominates: LFU wins on zipf but collapses on phased/markov; the optimal static partition wins faults on phased at a steep fairness cost; S(LRU) and dP(LRU) coincide everywhere (Lemma 3)")
+	res.Notes = matrixNotes(kinds, specs, runs)
 	return res, nil
+}
+
+// matrixNotes reads E13's runs, indexed [workload][strategy in specs
+// order]: the strategies with the fewest faults on each workload,
+// whether one has the fewest on every workload, and whether S(LRU) and
+// dP(LRU) coincide (Lemma 3).
+func matrixNotes(kinds []workload.Kind, specs []string, runs [][]sim.Result) []string {
+	var wins, differ []string
+	everywhere := slices.Clone(specs) // the strategies with the fewest faults so far
+	lru, dp := slices.Index(specs, "S(LRU)"), slices.Index(specs, "dP(LRU)")
+	for ki, kind := range kinds {
+		at := 0
+		for si, r := range runs[ki] {
+			if r.TotalFaults() < runs[ki][at].TotalFaults() {
+				at = si
+			}
+		}
+		var names []string
+		for si, r := range runs[ki] {
+			if r.TotalFaults() == runs[ki][at].TotalFaults() {
+				names = append(names, specs[si])
+			}
+		}
+		everywhere = slices.DeleteFunc(everywhere, func(s string) bool { return !slices.Contains(names, s) })
+		wins = append(wins, fmt.Sprintf("%s %s %d (Jain %.4g)", kind, strings.Join(names, " = "),
+			runs[ki][at].TotalFaults(), metrics.JainIndex(runs[ki][at].Faults)))
+		if a, b := runs[ki][lru], runs[ki][dp]; !slices.Equal(a.Faults, b.Faults) || !slices.Equal(a.Finish, b.Finish) {
+			differ = append(differ, string(kind))
+		}
+	}
+	notes := []string{"fewest faults per workload: " + strings.Join(wins, "; "),
+		"no strategy has the fewest faults on every workload"}
+	if len(everywhere) > 0 {
+		notes[1] = strings.Join(everywhere, " = ") + " has the fewest faults on every workload"
+	}
+	if len(differ) > 0 {
+		return append(notes, "VIOLATION: S(LRU) and dP(LRU) differ on "+strings.Join(differ, ", ")+" (Lemma 3)")
+	}
+	return append(notes, "S(LRU) and dP(LRU) coincide on every workload (Lemma 3)")
 }

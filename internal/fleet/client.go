@@ -43,6 +43,45 @@ func (b Backoff) withDefaults() Backoff {
 	return b
 }
 
+// schedule draws a Backoff's delays from a seeded jitter source: the
+// client's retries and the dispatcher's failover rounds each own one,
+// so jitter is decorrelated across them yet reproducible in tests.
+type schedule struct {
+	Backoff
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+func newSchedule(b Backoff, seed int64) *schedule {
+	return &schedule{Backoff: b.withDefaults(), rng: rand.New(rand.NewSource(seed))}
+}
+
+// delay returns the attempt'th delay: min(Cap, Base<<attempt) with full
+// jitter on the upper half.
+func (s *schedule) delay(attempt int) time.Duration {
+	d := s.Base << attempt
+	if d > s.Cap || d <= 0 {
+		d = s.Cap
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return d/2 + time.Duration(s.rng.Int63n(int64(d/2)+1))
+}
+
+// sleep waits for d on clk, returning early with ctx's error if the
+// context ends first.
+func sleep(ctx context.Context, clk server.Clock, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
+	select {
+	case <-clk.After(d):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // errWorkerDown marks transport failures and unexpected 5xx responses:
 // the worker is presumed gone and the caller should fail over to the
 // next ring member.
@@ -70,11 +109,8 @@ func (e errPermanent) StatusCode() int { return e.status }
 type Client struct {
 	base    string
 	httpc   *http.Client
-	clock   Clock
-	backoff Backoff
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	clock   server.Clock
+	backoff *schedule
 }
 
 // NewClient builds a client for the worker at baseURL (no trailing
@@ -82,19 +118,18 @@ type Client struct {
 // client with sane timeouts. jitterSeed seeds the backoff jitter — the
 // fleet derives per-worker seeds so jitter is decorrelated across
 // clients yet reproducible in tests.
-func NewClient(baseURL string, httpc *http.Client, clk Clock, b Backoff, jitterSeed int64) *Client {
+func NewClient(baseURL string, httpc *http.Client, clk server.Clock, b Backoff, jitterSeed int64) *Client {
 	if httpc == nil {
 		httpc = &http.Client{Timeout: 5 * time.Minute}
 	}
 	if clk == nil {
-		clk = SystemClock
+		clk = server.SystemClock
 	}
 	return &Client{
 		base:    baseURL,
 		httpc:   httpc,
 		clock:   clk,
-		backoff: b.withDefaults(),
-		rng:     rand.New(rand.NewSource(jitterSeed)),
+		backoff: newSchedule(b, jitterSeed),
 	}
 }
 
@@ -151,12 +186,12 @@ func (c *Client) postOnce(ctx context.Context, body io.Reader) (server.JobRespon
 		return out, remoteID, 0, nil
 	case hresp.StatusCode == http.StatusTooManyRequests || hresp.StatusCode == http.StatusServiceUnavailable:
 		return server.JobResponse{}, remoteID, parseRetryAfter(hresp.Header.Get("Retry-After")),
-			fmt.Errorf("%w: %s: %s", errWorkerBusy, c.base, readError(hresp.Body))
+			fmt.Errorf("%w: %s: %s", errWorkerBusy, c.base, server.ReadError(hresp.Body))
 	case hresp.StatusCode >= 400 && hresp.StatusCode < 500:
-		return server.JobResponse{}, remoteID, 0, errPermanent{status: hresp.StatusCode, msg: readError(hresp.Body)}
+		return server.JobResponse{}, remoteID, 0, errPermanent{status: hresp.StatusCode, msg: server.ReadError(hresp.Body)}
 	default:
 		return server.JobResponse{}, remoteID, 0,
-			fmt.Errorf("%w: %s: unexpected status %d: %s", errWorkerDown, c.base, hresp.StatusCode, readError(hresp.Body))
+			fmt.Errorf("%w: %s: unexpected status %d: %s", errWorkerDown, c.base, hresp.StatusCode, server.ReadError(hresp.Body))
 	}
 }
 
@@ -204,24 +239,15 @@ func (c *Client) Get(ctx context.Context, path string) ([]byte, error) {
 	return io.ReadAll(io.LimitReader(hresp.Body, 1<<20))
 }
 
-// delay computes the attempt'th backoff delay: exponential with full
-// jitter on the upper half, floored at the worker's Retry-After hint.
+// delay computes the attempt'th backoff delay, floored at the worker's
+// Retry-After hint.
 func (c *Client) delay(attempt int, retryAfter time.Duration) time.Duration {
-	d := c.backoff.Base << attempt
-	if d > c.backoff.Cap || d <= 0 {
-		d = c.backoff.Cap
-	}
-	c.rngMu.Lock()
-	jittered := d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
-	c.rngMu.Unlock()
-	if retryAfter > jittered {
-		return retryAfter
-	}
-	return jittered
+	return max(retryAfter, c.backoff.delay(attempt))
 }
 
 // parseRetryAfter reads a Retry-After header in whole seconds (the
-// only form mcservd emits); absent or malformed values mean "no hint".
+// only form either daemon emits); absent or malformed values mean "no
+// hint".
 func parseRetryAfter(v string) time.Duration {
 	if v == "" {
 		return 0
@@ -231,17 +257,4 @@ func parseRetryAfter(v string) time.Duration {
 		return 0
 	}
 	return time.Duration(secs) * time.Second
-}
-
-// readError extracts the {"error": "..."} body mcservd uses, falling
-// back to the raw text.
-func readError(r io.Reader) string {
-	raw, _ := io.ReadAll(io.LimitReader(r, 4096))
-	var body struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(raw, &body) == nil && body.Error != "" {
-		return body.Error
-	}
-	return string(bytes.TrimSpace(raw))
 }

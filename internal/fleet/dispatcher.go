@@ -6,12 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"sync"
 	"time"
 
 	"mcpaging/internal/server"
+	"mcpaging/internal/sim"
 	"mcpaging/internal/sweep"
 )
 
@@ -28,21 +27,18 @@ type DispatcherConfig struct {
 	WorkerInflight int
 	// RetryRounds is how many full failover rotations a cell attempts
 	// after the first before giving up (0 = 3). Between rounds the
-	// dispatcher backs off, which doubles as the window for probes to
-	// resurrect a recovered worker.
+	// dispatcher backs off on the default Backoff schedule, which
+	// doubles as the window for probes to resurrect a recovered worker.
 	RetryRounds int
-	// RoundBackoff shapes the between-rounds delay (Attempts unused).
-	RoundBackoff Backoff
-	// AcquirePoll is the poll period while blocking on the ring
-	// owner's inflight bound (0 = 2ms).
-	AcquirePoll time.Duration
 	// MaxRequests bounds a resolved trace (0 = 8M), mirroring
 	// mcservd's budget so the coordinator rejects oversized sweeps
 	// before touching any worker.
 	MaxRequests int
-	// JitterSeed decorrelates the dispatcher's backoff jitter.
-	JitterSeed int64
 }
+
+// acquirePoll is the poll period while a cell blocks on its ring
+// owner's inflight bound.
+const acquirePoll = 2 * time.Millisecond
 
 func (c DispatcherConfig) withDefaults(workers int) DispatcherConfig {
 	if c.WorkerInflight <= 0 {
@@ -54,10 +50,6 @@ func (c DispatcherConfig) withDefaults(workers int) DispatcherConfig {
 	if c.RetryRounds <= 0 {
 		c.RetryRounds = 3
 	}
-	c.RoundBackoff = c.RoundBackoff.withDefaults()
-	if c.AcquirePoll <= 0 {
-		c.AcquirePoll = 2 * time.Millisecond
-	}
 	if c.MaxRequests <= 0 {
 		c.MaxRequests = 8 << 20
 	}
@@ -68,19 +60,17 @@ func (c DispatcherConfig) withDefaults(workers int) DispatcherConfig {
 // placement, bounded inflight, retry/failover, and canonical-order
 // re-merge of sweep streams.
 type Dispatcher struct {
-	cfg   DispatcherConfig
-	reg   *Registry
-	clock Clock
-	met   *fleetMetrics
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	cfg    DispatcherConfig
+	reg    *Registry
+	clock  server.Clock
+	met    *fleetMetrics
+	rounds *schedule // the between-rounds backoff
 }
 
 // NewDispatcher builds a dispatcher over the registry's fleet.
-func NewDispatcher(reg *Registry, cfg DispatcherConfig, clk Clock, met *fleetMetrics) *Dispatcher {
+func NewDispatcher(reg *Registry, cfg DispatcherConfig, clk server.Clock, met *fleetMetrics) *Dispatcher {
 	if clk == nil {
-		clk = SystemClock
+		clk = server.SystemClock
 	}
 	if met == nil {
 		met = &fleetMetrics{}
@@ -90,7 +80,9 @@ func NewDispatcher(reg *Registry, cfg DispatcherConfig, clk Clock, met *fleetMet
 		reg:   reg,
 		clock: clk,
 		met:   met,
-		rng:   rand.New(rand.NewSource(cfg.JitterSeed)),
+		// A coordinator runs one dispatcher, so one fixed jitter stream
+		// decorrelates its cells' retry rounds.
+		rounds: newSchedule(Backoff{}, sim.DeriveSeed(0, 0, 0)),
 	}
 }
 
@@ -171,7 +163,7 @@ func (d *Dispatcher) routeCell(ctx context.Context, key string, req server.JobRe
 			return server.JobResponse{}, "", fmt.Errorf("fleet: cell %.16s failed after %d rounds: %w", key, round+1, lastErr)
 		}
 		d.met.retryRounds.Add(1)
-		if err := sleep(ctx, d.clock, d.roundDelay(round)); err != nil {
+		if err := sleep(ctx, d.clock, d.rounds.delay(round)); err != nil {
 			return server.JobResponse{}, "", err
 		}
 	}
@@ -180,23 +172,11 @@ func (d *Dispatcher) routeCell(ctx context.Context, key string, req server.JobRe
 // acquireWait blocks until w has a free inflight slot or ctx ends.
 func (d *Dispatcher) acquireWait(ctx context.Context, w *workerState, limit int64) error {
 	for !w.tryAcquire(limit) {
-		if err := sleep(ctx, d.clock, d.cfg.AcquirePoll); err != nil {
+		if err := sleep(ctx, d.clock, acquirePoll); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// roundDelay is the jittered between-rounds backoff.
-func (d *Dispatcher) roundDelay(round int) time.Duration {
-	b := d.cfg.RoundBackoff
-	delay := b.Base << round
-	if delay > b.Cap || delay <= 0 {
-		delay = b.Cap
-	}
-	d.rngMu.Lock()
-	defer d.rngMu.Unlock()
-	return delay/2 + time.Duration(d.rng.Int63n(int64(delay/2)+1))
 }
 
 // runSweep fans a resolved sweep (req's runs from SweepRequest.Resolve)

@@ -1,12 +1,8 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -29,11 +25,8 @@ type GatewayConfig struct {
 	// ShedInflight sheds new work with 429 once this many cells are in
 	// flight fleet-wide (0 = 4× the dispatcher's MaxInflight). This is
 	// the overload valve: quotas bound each tenant, shedding bounds
-	// their sum.
+	// their sum. Every 429 and 503 carries mcservd's Retry-After hint.
 	ShedInflight int
-	// RetryAfter is the Retry-After hint on 429 and 503 responses
-	// (0 = 1s).
-	RetryAfter time.Duration
 	// MaxBody bounds request bodies in bytes (0 = 64 MiB).
 	MaxBody int64
 }
@@ -47,9 +40,6 @@ func (c GatewayConfig) withDefaults(dispatchInflight int) GatewayConfig {
 	}
 	if c.ShedInflight <= 0 {
 		c.ShedInflight = 4 * dispatchInflight
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.MaxBody <= 0 {
 		c.MaxBody = 64 << 20
@@ -74,7 +64,7 @@ type Gateway struct {
 	cfg   GatewayConfig
 	disp  *Dispatcher
 	reg   *Registry
-	clock Clock
+	clock server.Clock
 	met   *fleetMetrics
 	mux   *http.ServeMux
 
@@ -88,9 +78,9 @@ type Gateway struct {
 
 // NewGateway builds the coordinator surface over a dispatcher. The
 // metrics instance must be the one the dispatcher reports into.
-func NewGateway(disp *Dispatcher, cfg GatewayConfig, clk Clock, met *fleetMetrics) *Gateway {
+func NewGateway(disp *Dispatcher, cfg GatewayConfig, clk server.Clock, met *fleetMetrics) *Gateway {
 	if clk == nil {
-		clk = SystemClock
+		clk = server.SystemClock
 	}
 	if met == nil {
 		met = disp.met
@@ -109,8 +99,8 @@ func NewGateway(disp *Dispatcher, cfg GatewayConfig, clk Clock, met *fleetMetric
 }
 
 func (g *Gateway) routes() {
-	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
-	g.mux.HandleFunc("GET /readyz", g.handleReadyz)
+	g.mux.HandleFunc("GET /healthz", server.Healthz)
+	g.mux.HandleFunc("GET /readyz", server.Readyz(g.ready))
 	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
 	g.mux.HandleFunc("GET /v1/workers", g.handleWorkers)
 	g.mux.HandleFunc("GET /strategies", g.handleStrategies)
@@ -177,47 +167,26 @@ func tenantOf(r *http.Request) string {
 	return "default"
 }
 
-func (g *Gateway) retryAfterHint() string {
-	return strconv.Itoa(int((g.cfg.RetryAfter + time.Second - 1) / time.Second))
-}
-
 // gate runs the admission pipeline shared by the job and sweep
 // endpoints: drain check, saturation shedding, then the tenant quota.
 // It reports whether the request may proceed, writing the refusal
 // itself when not.
 func (g *Gateway) gate(w http.ResponseWriter, r *http.Request, cost float64) bool {
 	if !g.ready() {
-		w.Header().Set("Retry-After", g.retryAfterHint())
-		httpError(w, http.StatusServiceUnavailable, "coordinator draining")
+		server.RetryLater(w, http.StatusServiceUnavailable, "coordinator draining")
 		return false
 	}
 	if g.met.cellsInflight.Load() >= int64(g.cfg.ShedInflight) {
 		g.met.shed.Add(1)
-		w.Header().Set("Retry-After", g.retryAfterHint())
-		httpError(w, http.StatusTooManyRequests, "fleet saturated: %d cells in flight", g.met.cellsInflight.Load())
+		server.RetryLater(w, http.StatusTooManyRequests, "fleet saturated: %d cells in flight", g.met.cellsInflight.Load())
 		return false
 	}
 	if !g.admit(tenantOf(r), cost) {
 		g.met.quotaDenied.Add(1)
-		w.Header().Set("Retry-After", g.retryAfterHint())
-		httpError(w, http.StatusTooManyRequests, "tenant %q over quota (%g cells): retry later", tenantOf(r), cost)
+		server.RetryLater(w, http.StatusTooManyRequests, "tenant %q over quota (%g cells): retry later", tenantOf(r), cost)
 		return false
 	}
 	return true
-}
-
-func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	io.WriteString(w, "ok\n")
-}
-
-func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if !g.ready() {
-		w.Header().Set("Retry-After", g.retryAfterHint())
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "draining\n")
-		return
-	}
-	io.WriteString(w, "ready\n")
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -226,7 +195,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (g *Gateway) handleWorkers(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	server.WriteJSON(w, http.StatusOK, struct {
 		Ring    []string     `json:"ring"`
 		Workers []WorkerInfo `json:"workers"`
 	}{g.reg.Ring().Members(), g.reg.Snapshot()})
@@ -251,7 +220,7 @@ func (g *Gateway) handleStrategies(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(body)
 		return
 	}
-	httpError(w, http.StatusBadGateway, "no worker answered /strategies: %v", lastErr)
+	server.WriteError(w, http.StatusBadGateway, "no worker answered /strategies: %v", lastErr)
 }
 
 // handleJob admits one job (cost: one cell) and routes it through the
@@ -260,11 +229,11 @@ func (g *Gateway) handleStrategies(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	var req server.JobRequest
 	if err := server.DecodeRequest(w, r, g.cfg.MaxBody, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding job: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "decoding job: %v", err)
 		return
 	}
 	if req.Strategy == "" {
-		httpError(w, http.StatusBadRequest, "strategy is required")
+		server.WriteError(w, http.StatusBadRequest, "strategy is required")
 		return
 	}
 	if !g.gate(w, r, 1) {
@@ -276,11 +245,11 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	defer g.met.cellsInflight.Add(-1)
 	resp, workerID, err := g.disp.RunJob(r.Context(), req)
 	if err != nil {
-		writeRouteError(w, err, g.retryAfterHint())
+		writeRouteError(w, err)
 		return
 	}
 	w.Header().Set("Fleet-Worker-ID", workerID)
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSweep admits a sweep (cost: its cell count) and streams the
@@ -288,12 +257,12 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req server.SweepRequest
 	if err := server.DecodeRequest(w, r, g.cfg.MaxBody, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding sweep: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "decoding sweep: %v", err)
 		return
 	}
 	runs, err := req.Resolve(g.disp.cfg.MaxRequests)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if !g.gate(w, r, float64(len(runs))) {
@@ -311,28 +280,14 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 // writeRouteError maps a dispatcher error onto the gateway's response:
 // tenant errors pass the worker's status through, fleet saturation and
 // drain surface as 503 with a Retry-After hint, anything else is 502.
-func writeRouteError(w http.ResponseWriter, err error, retryAfter string) {
+func writeRouteError(w http.ResponseWriter, err error) {
 	var perm errPermanent
 	switch {
 	case errors.As(err, &perm):
-		httpError(w, perm.StatusCode(), "%v", perm)
+		server.WriteError(w, perm.StatusCode(), "%v", perm)
 	case errors.Is(err, errWorkerBusy):
-		w.Header().Set("Retry-After", retryAfter)
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		server.RetryLater(w, http.StatusServiceUnavailable, "%v", err)
 	default:
-		httpError(w, http.StatusBadGateway, "%v", err)
+		server.WriteError(w, http.StatusBadGateway, "%v", err)
 	}
-}
-
-// writeJSON writes v as a JSON response with the given status.
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// httpError writes a JSON error body {"error": "..."}, the same shape
-// mcservd uses so fleet and single-node clients share error handling.
-func httpError(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

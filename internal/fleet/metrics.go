@@ -1,10 +1,10 @@
 package fleet
 
 import (
-	"fmt"
 	"io"
-	"strings"
 	"sync/atomic"
+
+	"mcpaging/internal/metrics"
 )
 
 // fleetMetrics holds the coordinator counters exposed on /metrics.
@@ -26,63 +26,55 @@ type fleetMetrics struct {
 	cellsInflight atomic.Int64 // gauge: cells currently in flight
 }
 
+// workerFamilies are the per-worker families of /metrics, in the order
+// of promValues: name, help and type.
+var workerFamilies = [...][3]string{
+	{"mcfleet_worker_up", "1 while the worker is healthy, 0 while draining or down.", "gauge"},
+	{"mcfleet_worker_latency_seconds", "EWMA of the worker's observed latency.", "gauge"},
+	{"mcfleet_worker_weight", "Latency weight scaling the spill work this worker absorbs.", "gauge"},
+	{"mcfleet_worker_inflight", "Cells currently in flight on this worker.", "gauge"},
+	{"mcfleet_worker_served_total", "Jobs this worker has served for the coordinator.", "counter"},
+	{"mcfleet_worker_probe_fails_total", "Failed /readyz probes against this worker.", "counter"},
+}
+
+// promValues is the worker's sample in each of workerFamilies.
+func (wi WorkerInfo) promValues() [len(workerFamilies)]float64 {
+	up := 0.0
+	if wi.Status == StatusHealthy.String() {
+		up = 1
+	}
+	return [...]float64{up, wi.LatencyMS / 1000, wi.Weight, float64(wi.Inflight), float64(wi.Served), float64(wi.ProbeFails)}
+}
+
 // writePrometheus emits the coordinator metrics in Prometheus text
 // format (version 0.0.4): the mcfleet_* counter family, then the
 // per-worker gauge families labelled by worker ID in sorted order, so
 // scrapes are stable.
 func (m *fleetMetrics) writePrometheus(w io.Writer, workers []WorkerInfo, tenants int, ready bool) error {
-	var b strings.Builder
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter("mcfleet_jobs_total", "Single jobs routed onto the fleet.", m.jobs.Load())
-	counter("mcfleet_sweeps_total", "Sweeps accepted by the coordinator.", m.sweeps.Load())
-	counter("mcfleet_cells_total", "Sweep cells completed successfully.", m.cells.Load())
-	counter("mcfleet_cell_errors_total", "Sweep cells that failed after retry and failover.", m.cellErrors.Load())
-	counter("mcfleet_routed_owner_total", "Cells served by their consistent-hash ring owner.", m.routedOwner.Load())
-	counter("mcfleet_routed_spill_total", "Cells spilled to a ring successor (owner saturated or down).", m.routedSpill.Load())
-	counter("mcfleet_failovers_total", "Hard worker failures observed while routing.", m.failovers.Load())
-	counter("mcfleet_retry_rounds_total", "Failover rotations that exhausted all candidates and backed off.", m.retryRounds.Load())
-	counter("mcfleet_quota_denied_total", "Requests bounced by a per-tenant quota.", m.quotaDenied.Load())
-	counter("mcfleet_shed_total", "Requests shed because the fleet was saturated.", m.shed.Load())
-	gauge("mcfleet_cells_inflight", "Sweep cells currently in flight.", float64(m.cellsInflight.Load()))
-	gauge("mcfleet_tenants", "Tenants with an active quota bucket.", float64(tenants))
+	var e metrics.Exposition
+	e.Counter("mcfleet_jobs_total", "Single jobs routed onto the fleet.", m.jobs.Load())
+	e.Counter("mcfleet_sweeps_total", "Sweeps accepted by the coordinator.", m.sweeps.Load())
+	e.Counter("mcfleet_cells_total", "Sweep cells completed successfully.", m.cells.Load())
+	e.Counter("mcfleet_cell_errors_total", "Sweep cells that failed after retry and failover.", m.cellErrors.Load())
+	e.Counter("mcfleet_routed_owner_total", "Cells served by their consistent-hash ring owner.", m.routedOwner.Load())
+	e.Counter("mcfleet_routed_spill_total", "Cells spilled to a ring successor (owner saturated or down).", m.routedSpill.Load())
+	e.Counter("mcfleet_failovers_total", "Hard worker failures observed while routing.", m.failovers.Load())
+	e.Counter("mcfleet_retry_rounds_total", "Failover rotations that exhausted all candidates and backed off.", m.retryRounds.Load())
+	e.Counter("mcfleet_quota_denied_total", "Requests bounced by a per-tenant quota.", m.quotaDenied.Load())
+	e.Counter("mcfleet_shed_total", "Requests shed because the fleet was saturated.", m.shed.Load())
+	e.Gauge("mcfleet_cells_inflight", "Sweep cells currently in flight.", float64(m.cellsInflight.Load()))
+	e.Gauge("mcfleet_tenants", "Tenants with an active quota bucket.", float64(tenants))
 	readyVal := 0.0
 	if ready {
 		readyVal = 1
 	}
-	gauge("mcfleet_ready", "1 while the coordinator admits work, 0 once draining.", readyVal)
-
-	labelled := func(name, help, typ string, value func(WorkerInfo) float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	e.Gauge("mcfleet_ready", "1 while the coordinator admits work, 0 once draining.", readyVal)
+	for i, f := range workerFamilies {
+		e.Family(f[0], f[1], f[2])
 		for _, wi := range workers {
-			fmt.Fprintf(&b, "%s{worker=%q} %g\n", name, wi.ID, value(wi))
+			e.Float(f[0], "worker", wi.ID, wi.promValues()[i])
 		}
 	}
-	labelled("mcfleet_worker_up", "1 while the worker is healthy, 0 while draining or down.", "gauge", func(wi WorkerInfo) float64 {
-		if wi.Status == StatusHealthy.String() {
-			return 1
-		}
-		return 0
-	})
-	labelled("mcfleet_worker_latency_seconds", "EWMA of the worker's observed latency.", "gauge", func(wi WorkerInfo) float64 {
-		return wi.LatencyMS / 1000
-	})
-	labelled("mcfleet_worker_weight", "Latency weight scaling the spill work this worker absorbs.", "gauge", func(wi WorkerInfo) float64 {
-		return wi.Weight
-	})
-	labelled("mcfleet_worker_inflight", "Cells currently in flight on this worker.", "gauge", func(wi WorkerInfo) float64 {
-		return float64(wi.Inflight)
-	})
-	labelled("mcfleet_worker_served_total", "Jobs this worker has served for the coordinator.", "counter", func(wi WorkerInfo) float64 {
-		return float64(wi.Served)
-	})
-	labelled("mcfleet_worker_probe_fails_total", "Failed /readyz probes against this worker.", "counter", func(wi WorkerInfo) float64 {
-		return float64(wi.ProbeFails)
-	})
-	_, err := io.WriteString(w, b.String())
+	_, err := e.WriteTo(w)
 	return err
 }

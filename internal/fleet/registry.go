@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"mcpaging/internal/server"
 )
 
 // WorkerStatus is a fleet member's routing state.
@@ -40,15 +42,18 @@ type RegistryConfig struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe round trip (0 = 1s).
 	ProbeTimeout time.Duration
-	// FailThreshold is how many consecutive probe failures mark a
-	// worker down (0 = 2). Routing transport failures mark it down
-	// immediately — a dead TCP peer needs no second opinion.
-	FailThreshold int
-	// EWMAAlpha is the probe-latency smoothing factor in (0,1]
-	// (0 = 0.3). The EWMA feeds the latency weight that scales how much
-	// spilled (non-owner) work a worker may absorb.
-	EWMAAlpha float64
 }
+
+const (
+	// failThreshold is how many consecutive probe failures mark a
+	// worker down. Routing transport failures mark it down at once — a
+	// dead TCP peer needs no second opinion.
+	failThreshold = 2
+	// ewmaAlpha is the latency smoothing factor. The EWMA feeds the
+	// latency weight that scales how much spilled (non-owner) work a
+	// worker may absorb.
+	ewmaAlpha = 0.3
+)
 
 func (c RegistryConfig) withDefaults() RegistryConfig {
 	if c.ProbeInterval <= 0 {
@@ -56,12 +61,6 @@ func (c RegistryConfig) withDefaults() RegistryConfig {
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = time.Second
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 2
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.3
 	}
 	return c
 }
@@ -99,13 +98,13 @@ func (w *workerState) release() {
 }
 
 // observeLatency folds one latency sample into the EWMA.
-func (w *workerState) observeLatency(alpha float64, d time.Duration) {
+func (w *workerState) observeLatency(d time.Duration) {
 	s := d.Seconds()
 	if w.ewmaSeconds == 0 {
 		w.ewmaSeconds = s
 		return
 	}
-	w.ewmaSeconds = alpha*s + (1-alpha)*w.ewmaSeconds
+	w.ewmaSeconds = ewmaAlpha*s + (1-ewmaAlpha)*w.ewmaSeconds
 }
 
 // WorkerInfo is a point-in-time snapshot of one member, exposed on
@@ -128,7 +127,7 @@ type WorkerInfo struct {
 // routing outcomes and the background /readyz probe loop.
 type Registry struct {
 	cfg     RegistryConfig
-	clock   Clock
+	clock   server.Clock
 	ring    *Ring
 	workers map[string]*workerState
 	ids     []string // sorted
@@ -140,12 +139,12 @@ type Registry struct {
 }
 
 // NewRegistry builds a registry over the given worker clients.
-func NewRegistry(clients []*Client, replicas int, cfg RegistryConfig, clk Clock) (*Registry, error) {
+func NewRegistry(clients []*Client, replicas int, cfg RegistryConfig, clk server.Clock) (*Registry, error) {
 	if len(clients) == 0 {
 		return nil, errors.New("fleet: registry needs at least one worker")
 	}
 	if clk == nil {
-		clk = SystemClock
+		clk = server.SystemClock
 	}
 	g := &Registry{
 		cfg:     cfg.withDefaults(),
@@ -224,16 +223,16 @@ func (g *Registry) ProbeAll(ctx context.Context) {
 			case err == nil:
 				w.consecFails = 0
 				w.status = StatusHealthy
-				w.observeLatency(g.cfg.EWMAAlpha, rtt)
+				w.observeLatency(rtt)
 			case errors.Is(err, errWorkerBusy):
 				// Alive but draining: latency sample is still real.
 				w.consecFails = 0
 				w.status = StatusDraining
-				w.observeLatency(g.cfg.EWMAAlpha, rtt)
+				w.observeLatency(rtt)
 			default:
 				w.probeFails++
 				w.consecFails++
-				if w.consecFails >= g.cfg.FailThreshold {
+				if w.consecFails >= failThreshold {
 					w.status = StatusDown
 				}
 			}
@@ -256,7 +255,7 @@ func (g *Registry) markRouteSuccess(id, remoteID string, rtt time.Duration) {
 	if remoteID != "" {
 		w.remoteID = remoteID
 	}
-	w.observeLatency(g.cfg.EWMAAlpha, rtt)
+	w.observeLatency(rtt)
 	w.mu.Unlock()
 }
 

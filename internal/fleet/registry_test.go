@@ -32,7 +32,7 @@ func newTestRegistry(t *testing.T, workers []*probeWorker) *Registry {
 	for i, p := range workers {
 		clients[i] = NewClient(p.ts.URL, nil, newFakeClock(), Backoff{}, int64(i))
 	}
-	reg, err := NewRegistry(clients, 32, RegistryConfig{FailThreshold: 2}, newFakeClock())
+	reg, err := NewRegistry(clients, 32, RegistryConfig{}, newFakeClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestProbeTransitions(t *testing.T) {
 		t.Fatalf("after OK probe: %s", got)
 	}
 
-	// One failure is below FailThreshold=2: still healthy.
+	// One failure is below failThreshold (2): still healthy.
 	p.status.Store(http.StatusInternalServerError)
 	reg.ProbeAll(context.Background())
 	if got := statusOf(t, reg, id); got != "healthy" {

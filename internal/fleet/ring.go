@@ -19,6 +19,11 @@
 //   - Ring (this file): consistent-hash routing keyed on the
 //     content-addressed job hash, so the per-worker result caches
 //     compose into one logical distributed cache with high affinity.
+//
+// What the coordinator shares with mcservd comes from internal/server,
+// not from a copy: the request decoder, the JSON and error writers, the
+// Retry-After hint, the /healthz and /readyz handlers, the daemon
+// lifecycle, and server.Clock, the only source of time here.
 package fleet
 
 import (

@@ -1,7 +1,8 @@
 // Package metrics turns simulation results into the quantities the
 // experiments report — fairness indices, per-core slowdowns, competitive
 // ratios — and renders aligned text tables (the library's replacement
-// for the paper's, nonexistent, result tables).
+// for the paper's, nonexistent, result tables). Exposition (prom.go)
+// writes the Prometheus text that mcservd, mcfleet and telemetry serve.
 package metrics
 
 import (

@@ -5,10 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"mcpaging/internal/core"
@@ -18,46 +15,12 @@ import (
 )
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
+	s.mux.HandleFunc("GET /healthz", Healthz)
+	s.mux.HandleFunc("GET /readyz", Readyz(s.ready))
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /strategies", s.handleStrategies)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJob)
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-}
-
-// writeJSON writes v as a JSON response with the given status.
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
-// httpError writes a JSON error body {"error": "..."}.
-func httpError(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	io.WriteString(w, "ok\n")
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if !s.ready() {
-		w.Header().Set("Retry-After", s.retryAfterHint())
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "draining\n")
-		return
-	}
-	io.WriteString(w, "ready\n")
-}
-
-// retryAfterHint renders the configured Retry-After hint in whole
-// seconds (rounded up), the format both the 429 queue-full and the 503
-// draining responses share so clients can back off uniformly.
-func (s *Server) retryAfterHint() string {
-	return strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second))
 }
 
 // handleMetrics serves the server-level counters followed by the
@@ -104,7 +67,7 @@ func (s *Server) telemetrySection(ctx context.Context) []byte {
 }
 
 func (s *Server) handleStrategies(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Strategies []strategyspec.Combo `json:"strategies"`
 	}{strategyspec.List()})
 }
@@ -114,13 +77,13 @@ func (s *Server) handleStrategies(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if err := DecodeRequest(w, r, s.cfg.MaxBody, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding job: %v", err)
+		WriteError(w, http.StatusBadRequest, "decoding job: %v", err)
 		return
 	}
 	run, set, err := req.resolve(s.traceStep(r.Context()))
 	if err != nil {
 		if r.Context().Err() == nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
@@ -130,15 +93,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	// to finish and re-check the cache instead of duplicating the run.
 	for {
 		if v, ok := s.cache.get(key); ok {
-			writeJSON(w, http.StatusOK, JobResponse{Key: key, Cached: true, Result: v})
+			WriteJSON(w, http.StatusOK, JobResponse{Key: key, Cached: true, Result: v})
 			return
 		}
 		// While draining, refuse instead of joining (or leading) a
 		// flight: drain must not park new requests behind in-flight
 		// work. Cache hits above are still served.
 		if !s.ready() {
-			w.Header().Set("Retry-After", s.retryAfterHint())
-			httpError(w, http.StatusServiceUnavailable, "%v", ErrDraining)
+			RetryLater(w, http.StatusServiceUnavailable, "%v", ErrDraining)
 			return
 		}
 		leader, wait := s.cache.join(key)
@@ -156,7 +118,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	defer s.cache.leave(key)
-	start := time.Now()
+	start := s.cfg.clock.Now()
 	j := &job{
 		Job:     run,
 		key:     key,
@@ -167,13 +129,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if err := s.submit(j); err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):
-			w.Header().Set("Retry-After", s.retryAfterHint())
-			httpError(w, http.StatusTooManyRequests, "%v", err)
+			RetryLater(w, http.StatusTooManyRequests, "%v", err)
 		case errors.Is(err, ErrDraining):
-			w.Header().Set("Retry-After", s.retryAfterHint())
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
+			RetryLater(w, http.StatusServiceUnavailable, "%v", err)
 		default:
-			httpError(w, http.StatusInternalServerError, "%v", err)
+			WriteError(w, http.StatusInternalServerError, "%v", err)
 		}
 		return
 	}
@@ -195,19 +155,19 @@ func (s *Server) finishJob(w http.ResponseWriter, key string, start time.Time, o
 		var be errBuild
 		switch {
 		case errors.As(out.err, &be):
-			httpError(w, http.StatusUnprocessableEntity, "%v", out.err)
+			WriteError(w, http.StatusUnprocessableEntity, "%v", out.err)
 		case errors.Is(out.err, context.DeadlineExceeded):
-			httpError(w, http.StatusGatewayTimeout, "%v", out.err)
+			WriteError(w, http.StatusGatewayTimeout, "%v", out.err)
 		default:
-			httpError(w, http.StatusInternalServerError, "%v", out.err)
+			WriteError(w, http.StatusInternalServerError, "%v", out.err)
 		}
 		return
 	}
-	elapsed := time.Since(start)
+	elapsed := s.cfg.clock.Now().Sub(start)
 	s.metrics.completed.Add(1)
 	s.metrics.observeLatency(elapsed)
 	s.cache.put(key, out.result)
-	writeJSON(w, http.StatusOK, JobResponse{
+	WriteJSON(w, http.StatusOK, JobResponse{
 		Key:       key,
 		Cached:    false,
 		ElapsedMS: float64(elapsed.Microseconds()) / 1000,
@@ -224,13 +184,13 @@ func (s *Server) finishJob(w http.ResponseWriter, key string, start time.Time, o
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := DecodeRequest(w, r, s.cfg.MaxBody, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding sweep: %v", err)
+		WriteError(w, http.StatusBadRequest, "decoding sweep: %v", err)
 		return
 	}
 	runs, set, err := req.resolve(s.traceStep(r.Context()))
 	if err != nil {
 		if r.Context().Err() == nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}

@@ -1,13 +1,13 @@
 package server
 
 import (
-	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mcpaging/internal/metrics"
 )
 
 // latWindow is how many recent job latencies the quantile estimator
@@ -89,49 +89,44 @@ type gauges struct {
 // writePrometheus emits the server-level metrics in Prometheus text
 // format (version 0.0.4). Metric order is fixed so scrapes are stable.
 func (m *serverMetrics) writePrometheus(w io.Writer, g gauges) error {
-	var b strings.Builder
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter("mcservd_jobs_accepted_total", "Jobs admitted to the queue.", m.accepted.Load())
-	counter("mcservd_jobs_rejected_total", "Jobs bounced with 429 because the queue was full.", m.rejected.Load())
-	counter("mcservd_jobs_completed_total", "Jobs that produced a result.", m.completed.Load())
-	counter("mcservd_jobs_failed_total", "Jobs that ended in an error (including timeouts).", m.failed.Load())
-	counter("mcservd_jobs_timeout_total", "Jobs aborted by the per-job timeout.", m.timeouts.Load())
-	counter("mcservd_jobs_coalesced_total", "Duplicate concurrent jobs folded into another job's flight (singleflight).", m.coalesced.Load())
-	counter("mcservd_trace_resolves_total", "Trace inputs resolved afresh: generated, decoded or taken inline.", m.traceResolves.Load())
-	counter("mcservd_trace_reuses_total", "Workload traces served from the last workload spec resolved, without generating.", m.traceReuses.Load())
-	counter("mcservd_cache_hits_total", "Result-cache hits.", g.cacheHits)
-	counter("mcservd_cache_misses_total", "Result-cache misses.", g.cacheMisses)
-	gauge("mcservd_cache_entries", "Results currently cached.", float64(g.cacheEntries))
-	gauge("mcservd_cache_entry_budget", "Result-cache capacity in entries.", float64(g.cacheCap))
+	var e metrics.Exposition
+	e.Counter("mcservd_jobs_accepted_total", "Jobs admitted to the queue.", m.accepted.Load())
+	e.Counter("mcservd_jobs_rejected_total", "Jobs bounced with 429 because the queue was full.", m.rejected.Load())
+	e.Counter("mcservd_jobs_completed_total", "Jobs that produced a result.", m.completed.Load())
+	e.Counter("mcservd_jobs_failed_total", "Jobs that ended in an error (including timeouts).", m.failed.Load())
+	e.Counter("mcservd_jobs_timeout_total", "Jobs aborted by the per-job timeout.", m.timeouts.Load())
+	e.Counter("mcservd_jobs_coalesced_total", "Duplicate concurrent jobs folded into another job's flight (singleflight).", m.coalesced.Load())
+	e.Counter("mcservd_trace_resolves_total", "Trace inputs resolved afresh: generated, decoded or taken inline.", m.traceResolves.Load())
+	e.Counter("mcservd_trace_reuses_total", "Workload traces served from the last workload spec resolved, without generating.", m.traceReuses.Load())
+	e.Counter("mcservd_cache_hits_total", "Result-cache hits.", g.cacheHits)
+	e.Counter("mcservd_cache_misses_total", "Result-cache misses.", g.cacheMisses)
+	e.Gauge("mcservd_cache_entries", "Results currently cached.", float64(g.cacheEntries))
+	e.Gauge("mcservd_cache_entry_budget", "Result-cache capacity in entries.", float64(g.cacheCap))
+	ratio := 0.0
 	if tot := g.cacheHits + g.cacheMisses; tot > 0 {
-		gauge("mcservd_cache_hit_ratio", "Result-cache hit ratio over the server lifetime.", float64(g.cacheHits)/float64(tot))
-	} else {
-		gauge("mcservd_cache_hit_ratio", "Result-cache hit ratio over the server lifetime.", 0)
+		ratio = float64(g.cacheHits) / float64(tot)
 	}
-	gauge("mcservd_queue_depth", "Jobs waiting in the queue.", float64(g.queueDepth))
-	gauge("mcservd_queue_capacity", "Queue capacity.", float64(g.queueCap))
-	gauge("mcservd_workers", "Simulation worker goroutines.", float64(g.workers))
+	e.Gauge("mcservd_cache_hit_ratio", "Result-cache hit ratio over the server lifetime.", ratio)
+	e.Gauge("mcservd_queue_depth", "Jobs waiting in the queue.", float64(g.queueDepth))
+	e.Gauge("mcservd_queue_capacity", "Queue capacity.", float64(g.queueCap))
+	e.Gauge("mcservd_workers", "Simulation worker goroutines.", float64(g.workers))
 	ready := 0.0
 	if g.ready {
 		ready = 1
 	}
-	gauge("mcservd_ready", "1 while the server accepts jobs, 0 once draining.", ready)
+	e.Gauge("mcservd_ready", "1 while the server accepts jobs, 0 once draining.", ready)
 
 	m.mu.Lock()
 	sum, count := m.latSum, m.latCount
 	m.mu.Unlock()
-	fmt.Fprintf(&b, "# HELP mcservd_job_latency_seconds Job service time (queue wait plus simulation), recent-window quantiles.\n# TYPE mcservd_job_latency_seconds summary\n")
+	const lat = "mcservd_job_latency_seconds"
+	e.Family(lat, "Job service time (queue wait plus simulation), recent-window quantiles.", "summary")
 	if q, ok := m.quantiles([]float64{0.5, 0.99}); ok {
-		fmt.Fprintf(&b, "mcservd_job_latency_seconds{quantile=\"0.5\"} %g\n", q[0])
-		fmt.Fprintf(&b, "mcservd_job_latency_seconds{quantile=\"0.99\"} %g\n", q[1])
+		e.Float(lat, "quantile", "0.5", q[0])
+		e.Float(lat, "quantile", "0.99", q[1])
 	}
-	fmt.Fprintf(&b, "mcservd_job_latency_seconds_sum %g\n", sum)
-	fmt.Fprintf(&b, "mcservd_job_latency_seconds_count %d\n", count)
-	_, err := io.WriteString(w, b.String())
+	e.Float(lat+"_sum", "", "", sum)
+	e.Int(lat+"_count", "", "", count)
+	_, err := e.WriteTo(w)
 	return err
 }

@@ -4,11 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mcpaging/internal/capacity"
 	"mcpaging/internal/core"
@@ -255,5 +260,72 @@ func TestExecuteAllocBound(t *testing.T) {
 	const allowance = 3
 	if allocs > floor+allowance {
 		t.Fatalf("warmed execute: %v allocs/job, want at most %v (build and run: %v)", allocs, floor+allowance, floor)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the exposition golden files")
+
+// TestExpositionGolden pins writePrometheus's bytes for an idle server
+// and for fixed counters, gauges and latency samples, so any change to
+// how the server-level section is written shows up as a diff against
+// testdata. The values include ones %g prints in exponent form.
+// Regenerate with:
+//
+//	go test ./internal/server -run ExpositionGolden -update
+func TestExpositionGolden(t *testing.T) {
+	idle := &serverMetrics{}
+	busy := &serverMetrics{}
+	for _, c := range []struct {
+		n *atomic.Int64
+		v int64
+	}{
+		{&busy.accepted, 1234567}, {&busy.rejected, 3}, {&busy.completed, 1234000},
+		{&busy.failed, 17}, {&busy.timeouts, 2}, {&busy.coalesced, 9},
+		{&busy.traceResolves, 40}, {&busy.traceReuses, 21},
+	} {
+		c.n.Store(c.v)
+	}
+	for _, d := range []time.Duration{5 * time.Millisecond, 1500 * time.Microsecond, 2 * time.Second,
+		40 * time.Millisecond, 123456789 * time.Nanosecond, 7 * time.Microsecond} {
+		busy.observeLatency(d)
+	}
+	for _, c := range []struct {
+		name string
+		m    *serverMetrics
+		g    gauges
+	}{
+		{"metrics_idle.prom", idle, gauges{queueCap: 4, workers: 2, cacheCap: 4096, ready: true}},
+		{"metrics_busy.prom", busy, gauges{queueDepth: 3, queueCap: 8, workers: 4, cacheEntries: 2000000,
+			cacheCap: 4000000, cacheHits: 2, cacheMisses: 1}},
+	} {
+		var b bytes.Buffer
+		if err := c.m.writePrometheus(&b, c.g); err != nil {
+			t.Fatal(err)
+		}
+		checkPromText(t, b.String())
+		checkGolden(t, c.name, b.Bytes())
+	}
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden missing (run with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s differs from golden (regenerate with -update if the change is intended)\ngot:\n%s\nwant:\n%s", name, got, want)
 	}
 }

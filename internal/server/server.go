@@ -37,8 +37,16 @@
 //     liveness and readiness.
 //   - Drain stops intake (submissions fail with ErrDraining, readiness
 //     goes false) and waits for queued and in-flight jobs to finish —
-//     the graceful-shutdown half that cmd/mcservd pairs with
+//     the graceful-shutdown half that follows Serve's
 //     http.Server.Shutdown.
+//
+// The package is also the service shell mcfleet shares, so the two
+// daemons stay wire-compatible by construction (shell.go): the JSON
+// writer, the error body's writer and reader, the one Retry-After hint
+// (1 s), the /healthz and /readyz handlers, Listen and Serve (the
+// lifecycle that drains on SIGINT or SIGTERM), and Clock (clock.go),
+// the only source of time in either daemon. mcservd times jobs through
+// an unexported Config field that defaults to SystemClock.
 package server
 
 import (
@@ -59,7 +67,7 @@ type Config struct {
 	// QueueDepth bounds the job queue (0 = max(2×Workers, 4), so the
 	// default holds mcfleet's default of 4 cells in flight per worker).
 	// When the queue is full, POST /v1/jobs returns 429 with a
-	// Retry-After hint.
+	// Retry-After hint of 1 s.
 	QueueDepth int
 	// CacheEntries is the result-cache budget in entries (0 = 4096,
 	// negative = caching disabled).
@@ -71,12 +79,14 @@ type Config struct {
 	MaxRequests int
 	// MaxBody bounds request bodies in bytes (0 = 64 MiB).
 	MaxBody int64
-	// RetryAfter is the Retry-After hint on 429 responses (0 = 1s).
-	RetryAfter time.Duration
 	// WorkerID, when non-empty, is echoed on every response as the
 	// Fleet-Worker-ID header. mcfleet uses it to confirm which fleet
 	// member answered a routed job (cache-affinity accounting).
 	WorkerID string
+
+	// clock times jobs for elapsed_ms and the latency summary (nil =
+	// SystemClock); the package's own tests set a fake.
+	clock Clock
 
 	// testJobStarted/testJobRelease, when non-nil, make workers
 	// announce each dequeued job and wait for release — deterministic
@@ -108,8 +118,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBody <= 0 {
 		c.MaxBody = 64 << 20
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
+	if c.clock == nil {
+		c.clock = SystemClock
 	}
 	return c
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"mcpaging/internal/capacity"
 	"mcpaging/internal/core"
 	"mcpaging/internal/sim"
 	"mcpaging/internal/strategyspec"
@@ -124,6 +125,61 @@ func TestGoldenExport(t *testing.T) {
 			t.Errorf("%s differs from golden (regenerate with -update if the change is intended)\ngot:\n%s\nwant:\n%s",
 				name, clip(got), clip(want))
 		}
+	}
+}
+
+// TestGoldenElasticPrometheus pins the Prometheus snapshot of an
+// elastic run, whose mcpaging_capacity_* lines the fixed-capacity
+// golden above never carries: the fixture trace under eP[fair](LRU)
+// with K(t) stepping from 8 down to 5 mid-run. Regenerate with:
+//
+//	go test ./internal/telemetry -run GoldenElastic -update
+func TestGoldenElasticPrometheus(t *testing.T) {
+	f, err := os.Open("testdata/trace.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := trace.ReadAuto(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := capacity.ParseSchedule("step(to=5,at=120)", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := core.Params{K: 8, Tau: 2, Capacity: sched}
+	st, err := strategyspec.Build("eP[fair](LRU)", rs, params.K, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := New(Config{Cores: rs.NumCores(), Params: params, Window: 64})
+	res, err := sim.Run(core.Instance{R: rs, P: params}, st, col.Observe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col.Finish(res)
+	var b strings.Builder
+	if err := WritePrometheus(&b, col); err != nil {
+		t.Fatal(err)
+	}
+	got := b.String()
+	if !strings.Contains(got, "mcpaging_capacity_k_min 5\n") {
+		t.Fatalf("elastic snapshot without K(t)'s minimum:\n%s", got)
+	}
+	path := filepath.Join("testdata", "metrics_elastic.prom")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden missing (run with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("elastic snapshot differs from golden (regenerate with -update if the change is intended)\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

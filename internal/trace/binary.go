@@ -287,7 +287,7 @@ func ReadAuto(r io.Reader) (core.RequestSet, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(4)
 	if err != nil {
-		return nil, fmt.Errorf("trace: cannot peek header: %w", err)
+		return nil, fmt.Errorf("trace: cannot peek header: %w", truncated(err))
 	}
 	if string(head) == "MCPT" {
 		return ReadBinary(br)

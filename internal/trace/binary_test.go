@@ -226,14 +226,15 @@ func FuzzReadAuto(f *testing.F) {
 
 // TestTruncatedTraceIsUnexpectedEOF cuts valid traces at every byte and
 // requires every cut to fail with io.ErrUnexpectedEOF, through the
-// package doc's streaming loop and through ReadBinary: a stream that
+// package doc's streaming loop, ReadBinary and ReadAuto: a stream that
 // ends inside a core or before a declared core must not read as a
 // complete trace. The traces mix empty cores and 1- to 5-byte deltas.
-// The first three are also cut as text traces, through Read, where a
-// cut between tokens must fail the same way. A cut inside a token
-// leaves a prefix of it, a keyword Read rejects or a smaller number, so
-// there Read need only fail, except inside the last page, whose prefix
-// completes a smaller trace.
+// The first three are also cut as text traces, through Read and
+// ReadAuto, where a cut between tokens must fail the same way, and so
+// must a cut ReadAuto cannot tell the format of (under 4 bytes). A cut
+// inside a token leaves a prefix of it, a keyword Read rejects or a
+// smaller number, so there the readers need only fail, except inside
+// the last page, whose prefix completes a smaller trace.
 func TestTruncatedTraceIsUnexpectedEOF(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 20; i++ {
@@ -248,12 +249,20 @@ func TestTruncatedTraceIsUnexpectedEOF(t *testing.T) {
 			last := bytes.LastIndexAny(data, " \n") + 1
 			space := func(at int) bool { return data[at] == ' ' || data[at] == '\n' }
 			for cut := 0; cut < len(data); cut++ {
+				between := cut == 0 || space(cut-1) || space(cut)
 				_, err := Read(bytes.NewReader(data[:cut]))
-				if between := cut == 0 || space(cut-1) || space(cut); between && !errors.Is(err, io.ErrUnexpectedEOF) {
+				if between && !errors.Is(err, io.ErrUnexpectedEOF) {
 					t.Fatalf("set %d cut at %d of %d text bytes, between tokens: Read = %v, want io.ErrUnexpectedEOF", i, cut, len(data), err)
 				}
 				if err == nil && cut < last {
 					t.Fatalf("set %d cut at %d of %d text bytes: Read succeeded", i, cut, len(data))
+				}
+				_, err = ReadAuto(bytes.NewReader(data[:cut]))
+				if (between || cut < 4) && !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("set %d cut at %d of %d text bytes: ReadAuto = %v, want io.ErrUnexpectedEOF", i, cut, len(data), err)
+				}
+				if err == nil && cut < last {
+					t.Fatalf("set %d cut at %d of %d text bytes: ReadAuto succeeded", i, cut, len(data))
 				}
 			}
 		}
@@ -268,6 +277,9 @@ func TestTruncatedTraceIsUnexpectedEOF(t *testing.T) {
 			}
 			if _, err := ReadBinary(bytes.NewReader(data[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("set %d cut at %d of %d bytes: ReadBinary = %v, want io.ErrUnexpectedEOF", i, cut, len(data), err)
+			}
+			if _, err := ReadAuto(bytes.NewReader(data[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("set %d cut at %d of %d bytes: ReadAuto = %v, want io.ErrUnexpectedEOF", i, cut, len(data), err)
 			}
 		}
 		got, err := decodeStream(data, 0, 7)

@@ -56,7 +56,7 @@ func Write(w io.Writer, r core.RequestSet) error {
 // Read parses a request set written by Write.
 func Read(r io.Reader) (core.RequestSet, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	sc.Buffer(nil, 1<<20) // the scanner's own 4 KiB start, grown to tokens of up to 1 MiB
 	sc.Split(bufio.ScanWords)
 	next := func() (string, error) {
 		if !sc.Scan() {

@@ -115,3 +115,22 @@ func TestReadBoundsLyingHeader(t *testing.T) {
 		}
 	}
 }
+
+// TestReadSmallTraceAllocBound bounds what one read of a 41-byte trace
+// allocates well under 64 KiB: the workload trace family re-reads its
+// file for every instance, so a short trace must stay cheap to read.
+func TestReadSmallTraceAllocBound(t *testing.T) {
+	const in = "mcpaging-trace v1\ncores 1\ncore 0 3\n1 2 3\n"
+	const reads = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		if _, err := Read(strings.NewReader(in)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := (after.TotalAlloc - before.TotalAlloc) / reads; n >= 16<<10 {
+		t.Fatalf("a %d-byte read allocated %d bytes, want < 16 KiB", len(in), n)
+	}
+}

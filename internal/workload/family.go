@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -393,8 +392,8 @@ func sampleMixed(p famParams, seed int64) (core.RequestSet, error) {
 	return Compose(specs)
 }
 
-// sampleTrace replays a committed trace (text, or binary when the path
-// ends in .bin) through a seeded perturbation pass: each request is
+// sampleTrace replays a committed trace (text or binary, told apart by
+// trace.ReadAuto) through a seeded perturbation pass: each request is
 // rewritten to another page of the same core's observed page set with
 // probability rewrite, and adjacent same-core requests are swapped with
 // probability swap. The perturbed replay keeps the trace's locality
@@ -421,12 +420,7 @@ func sampleTrace(p famParams, seed int64) (core.RequestSet, error) {
 		return nil, fmt.Errorf("workload: trace family: %w", err)
 	}
 	defer f.Close()
-	var rs core.RequestSet
-	if filepath.Ext(path) == ".bin" {
-		rs, err = trace.ReadBinary(f)
-	} else {
-		rs, err = trace.Read(f)
-	}
+	rs, err := trace.ReadAuto(f)
 	if err != nil {
 		return nil, fmt.Errorf("workload: trace family: %w", err)
 	}
