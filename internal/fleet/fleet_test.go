@@ -253,6 +253,55 @@ func TestFleetRejectsUnusableZipf(t *testing.T) {
 	}
 }
 
+// TestFleetUnrunnableJobsAre4xx: a job that names no valid run (K
+// below its core count, K(t) below its active cores, a strategy that
+// cannot shed cells under K(t)) failed on its worker as a 500, which
+// the dispatcher read as a dead worker: one such job through a
+// two-worker gateway left both workers down. The gateway now refuses
+// the first two, and a workload spec too costly to generate, with a 400
+// naming the bound before routing; the worker answers the third with a
+// 422, passed through. The client gets a 4xx every time, and every
+// worker stays healthy.
+func TestFleetUnrunnableJobsAre4xx(t *testing.T) {
+	urls := []string{newWorker(t, "w1").URL, newWorker(t, "w2").URL}
+	f := newTestFleet(t, urls, DispatcherConfig{}, GatewayConfig{QuotaRate: -1})
+	zipf4 := server.TraceInput{Workload: &workload.Spec{Kind: workload.Zipf, Cores: 4, Length: 200, Pages: 32, Seed: 1}}
+	costly := server.TraceInput{Workload: &workload.Spec{Kind: workload.Zipf, Cores: 1 << 20, Pages: 65535}}
+	for _, tc := range []struct {
+		path   string
+		body   interface{}
+		code   int
+		want   string
+		routed bool
+	}{
+		{"/v1/jobs", server.JobRequest{Trace: zipf4, Strategy: "dP[fair](LRU)", K: 3, Tau: 1},
+			http.StatusBadRequest, "K=3 below core count 4", false},
+		{"/v1/jobs", server.JobRequest{Trace: zipf4, Strategy: "eP[even](LRU)", K: 8, Tau: 1, Capacity: "step(to=25%,at=10)"},
+			http.StatusBadRequest, "reaches 2 cells, below 4 active cores", false},
+		{"/v1/sweep", server.SweepRequest{Trace: zipf4, Ks: []int{8}, Taus: []int{1}, Strategies: []string{"S(LRU)"},
+			Capacities: []string{"step(to=25%,at=10)"}}, http.StatusBadRequest, "below 4 active cores", false},
+		{"/v1/jobs", server.JobRequest{Trace: costly, Strategy: "S(LRU)", K: 1 << 20},
+			http.StatusBadRequest, "per-job budget", false},
+		{"/v1/jobs", server.JobRequest{Trace: zipf4, Strategy: "S(FWF)", K: 8, Tau: 1, Capacity: "step(to=50%,at=10)"},
+			http.StatusUnprocessableEntity, "does not support time-varying capacity", true},
+	} {
+		routed := f.met.jobs.Load()
+		resp := postJSON(t, f.ts.URL+tc.path, tc.body)
+		body := readBody(t, resp)
+		if resp.StatusCode != tc.code || !strings.Contains(string(body), tc.want) {
+			t.Fatalf("%s: status %d, body %q; want %d naming %q", tc.path, resp.StatusCode, body, tc.code, tc.want)
+		}
+		if got := f.met.jobs.Load() > routed; got != tc.routed {
+			t.Fatalf("%s %q: routed %v, want %v", tc.path, tc.want, got, tc.routed)
+		}
+	}
+	for _, w := range f.reg.Snapshot() {
+		if w.Status != StatusHealthy.String() {
+			t.Fatalf("worker %s is %s after 4xx answers", w.ID, w.Status)
+		}
+	}
+}
+
 // TestFleetSweepCacheAffinity reruns a sweep and expects every cell to
 // be a cache hit: consistent-hash routing sent each key back to the
 // worker that computed it, so the per-worker caches act as one

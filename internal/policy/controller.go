@@ -87,7 +87,8 @@ type Controller interface {
 // remainders (ties to the lower index). Entries with positive weight
 // are then guaranteed at least one cell while total allows, taking
 // cells from the largest entries. The split is deterministic in
-// (dst-independent) inputs, which elastic-capacity replay requires.
+// (dst-independent) inputs, which elastic-capacity replay requires, and
+// allocates nothing.
 func reapportion(dst, weights []int, total int) {
 	sum := 0
 	for _, w := range weights {
@@ -102,29 +103,38 @@ func reapportion(dst, weights []int, total int) {
 		return
 	}
 	granted := 0
-	rem := make([]int, len(dst))
 	for j, w := range weights {
 		if w <= 0 {
-			dst[j], rem[j] = 0, -1
+			dst[j] = 0
 			continue
 		}
 		dst[j] = w * total / sum
-		rem[j] = w * total % sum
 		granted += dst[j]
 	}
-	for granted < total {
-		best := -1
-		for j, r := range rem {
-			if r >= 0 && (best == -1 || r > rem[best]) {
-				best = j
+	// Leftover cells go one each to the largest remainders w·total mod
+	// sum, ties to the lower index: every pass grants the entry that
+	// follows the previous pass's in that order, so no entry is granted
+	// twice and nothing needs marking.
+	lastRem, last := sum, -1 // remainders are below sum
+	for ; granted < total; granted++ {
+		best, bestRem := -1, -1
+		for j, w := range weights {
+			if w <= 0 {
+				continue
+			}
+			r := w * total % sum
+			if r > lastRem || (r == lastRem && j <= last) {
+				continue // granted by an earlier pass
+			}
+			if r > bestRem {
+				best, bestRem = j, r
 			}
 		}
 		if best == -1 {
 			break
 		}
 		dst[best]++
-		rem[best] = -1
-		granted++
+		lastRem, last = bestRem, best
 	}
 	// Every positive weight keeps at least one cell while total allows.
 	for j, w := range weights {
@@ -143,4 +153,16 @@ func reapportion(dst, weights []int, total int) {
 		dst[big]--
 		dst[j]++
 	}
+}
+
+// reuse returns s resliced to n zeroed elements, reallocating only when
+// its capacity is short, so a controller reused across runs keeps its
+// per-core arrays.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

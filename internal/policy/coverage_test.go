@@ -128,7 +128,7 @@ func TestPartitionedNoDonor(t *testing.T) {
 
 // TestSeedQuota verifies inactive cores donate their quota share.
 func TestSeedQuota(t *testing.T) {
-	q := seedQuota(6, []bool{false, true, true})
+	q := seedQuota(nil, 6, []bool{false, true, true})
 	if q[0] != 0 {
 		t.Fatalf("inactive core kept quota: %v", q)
 	}

@@ -19,11 +19,12 @@ import (
 // steers toward balanced budgets without future knowledge. Experiment
 // E16 measures what that steering costs.
 type fairController struct {
-	window int64
-	quota  []int
-	counts []int64 // faults in the current window
-	nextAt int64
-	active []bool
+	window  int64
+	quota   []int
+	counts  []int64 // faults in the current window
+	nextAt  int64
+	active  []bool
+	weights []int // Capacity's scratch
 }
 
 // FairController returns the FairShare controller dP[fair] with the
@@ -53,12 +54,12 @@ func (c *fairController) Init(inst core.Instance) error {
 	if inst.P.K < p {
 		return fmt.Errorf("policy: FairShare needs K >= p (K=%d, p=%d)", inst.P.K, p)
 	}
-	c.active = make([]bool, p)
+	c.active = reuse(c.active, p)
 	for j := range c.active {
 		c.active[j] = len(inst.R[j]) > 0
 	}
-	c.quota = seedQuota(inst.P.K, c.active)
-	c.counts = make([]int64, p)
+	c.quota = seedQuota(c.quota, inst.P.K, c.active)
+	c.counts = reuse(c.counts, p)
 	c.nextAt = c.window
 	return nil
 }
@@ -123,7 +124,8 @@ func (c *fairController) Ticks() bool { return true }
 // proportionally to the new capacity, preserving whatever balance the
 // window rebalancing has reached so far.
 func (c *fairController) Capacity(k int, _ int64) bool {
-	weights := append([]int(nil), c.quota...)
+	weights := append(c.weights[:0], c.quota...)
+	c.weights = weights
 	for j := range weights {
 		if c.active[j] && weights[j] == 0 {
 			weights[j] = 1 // an active core never loses its seat

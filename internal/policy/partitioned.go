@@ -25,12 +25,17 @@ type Partitioned struct {
 	mk   cache.Factory
 	name string
 
-	parts  []cache.Policy
+	parts  []evictor
 	partOf []int32 // owning part by page ID, -1 for none
 	occ    []int
 	quota  []int // aliases ctrl.Quota(); nil = occupancy-driven
 	vf     viewFuncs
 	ticks  bool
+
+	// Scratch reused across calls: the pages OnTick returns (the engine
+	// reads them before the next call) and SurrenderOne's refused parts.
+	shed []core.PageID
+	skip []bool
 }
 
 // NewPartitioned composes a partition controller with an eviction-policy
@@ -69,10 +74,11 @@ func (s *Partitioned) Init(inst core.Instance) error {
 	s.quota = s.ctrl.Quota()
 	p := inst.R.NumCores()
 	if len(s.parts) != p {
-		s.parts = make([]cache.Policy, p)
+		s.parts = make([]evictor, p)
 		for j := range s.parts {
-			s.parts[j] = s.mk()
+			s.parts[j] = newEvictor(s.mk())
 		}
+		s.skip = make([]bool, p)
 	} else {
 		for j := range s.parts {
 			s.parts[j].Reset()
@@ -173,7 +179,7 @@ func (s *Partitioned) OnFault(p core.PageID, at cache.Access, v sim.View) core.P
 	j := at.Core
 	if s.vf.use(v) {
 		for _, part := range s.parts {
-			bindOracle(part, v)
+			bindOracle(part.Policy, v)
 		}
 	}
 	var victim core.PageID = core.NoPage
@@ -186,7 +192,7 @@ func (s *Partitioned) OnFault(p core.PageID, at cache.Access, v sim.View) core.P
 		}
 		var w core.PageID
 		if d == j {
-			w, ok = evictFor(s.parts[j], p, s.vf.resident)
+			w, ok = s.parts[j].evictFor(p, s.vf.resident)
 		} else {
 			w, ok = s.parts[d].Evict(s.vf.resident)
 		}
@@ -231,6 +237,11 @@ func (s *Partitioned) OnFault(p core.PageID, at cache.Access, v sim.View) core.P
 	return victim
 }
 
+// Ticks implements sim.Ticking: only a controller that repartitions
+// over time ticks, so the engine never calls OnTick for the static and
+// global-LRU controllers.
+func (s *Partitioned) Ticks() bool { return s.ticks }
+
 // OnTick implements sim.Ticker: the controller may repartition, and
 // parts above quota surrender their policies' victims as donations. For
 // tickless controllers (static, global-LRU) this is a no-op, so the
@@ -245,7 +256,7 @@ func (s *Partitioned) OnTick(t int64, v sim.View) []core.PageID {
 			s.parts[j].Resize(s.quota[j])
 		}
 	}
-	var out []core.PageID
+	out := s.shed[:0]
 	for j := range s.occ {
 		over := s.occ[j] - s.quota[j]
 		if over <= 0 {
@@ -253,7 +264,7 @@ func (s *Partitioned) OnTick(t int64, v sim.View) []core.PageID {
 		}
 		if s.vf.use(v) {
 			for _, part := range s.parts {
-				bindOracle(part, v)
+				bindOracle(part.Policy, v)
 			}
 		}
 		for i := 0; i < over; i++ {
@@ -267,6 +278,7 @@ func (s *Partitioned) OnTick(t int64, v sim.View) []core.PageID {
 			out = append(out, w)
 		}
 	}
+	s.shed = out
 	return out
 }
 
@@ -296,10 +308,11 @@ func (s *Partitioned) OnCapacity(k int, t int64) {
 func (s *Partitioned) SurrenderOne(v sim.View) (core.PageID, bool) {
 	if s.vf.use(v) {
 		for _, part := range s.parts {
-			bindOracle(part, v)
+			bindOracle(part.Policy, v)
 		}
 	}
-	skip := make([]bool, len(s.parts))
+	skip := s.skip
+	clear(skip)
 	for {
 		best, bestOver := -1, 0
 		for j := range s.parts {

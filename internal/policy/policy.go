@@ -10,6 +10,26 @@
 // All strategies assume K ≥ p (there is always at least one resident,
 // evictable page when a victim is needed); the paper's own tall-cache
 // assumption K ≥ p² is stronger.
+//
+// # Per-run binding
+//
+// A strategy resolves once per run what does not change within it, so
+// the fault path pays no lookup for it:
+//
+//   - Each policy's victim path, cache.IncomingEvictor's EvictFor or
+//     plain Evict, is resolved when the strategy builds the policy;
+//     Init's Reset keeps the policy, and so the path.
+//   - The View is bound at a run's first callback that carries one
+//     (OnFault, OnTick or SurrenderOne): the evictability predicate is
+//     built and oracles are attached then, and later callbacks of the
+//     run reuse them. The engine passes one View for a whole run, and
+//     Init unbinds it, so a reused strategy never keeps the previous
+//     run's.
+//   - The engine asks once per run, after Init, whether a strategy
+//     ticks (sim.Ticking). Partitioned ticks only under a controller
+//     that repartitions over time (FairShare, UCP, staged); the static
+//     and global-LRU controllers, and so every sP and dP[lru-global]
+//     strategy, are never called at step boundaries.
 package policy
 
 import (
@@ -40,45 +60,57 @@ func residentOnly(v sim.View) func(core.PageID) bool {
 	return func(p core.PageID) bool { return v.Resident(p) }
 }
 
-// viewFuncs caches the per-view adapters of a strategy — the
-// evictability predicate and whether oracles have been bound — so the
-// fault path does not allocate a closure (and box an oracle adapter) on
-// every fault. The simulator passes the same View for the whole run, so
-// the cache rebuilds exactly once per run.
+// viewFuncs holds the per-run adapters of a strategy's View — the
+// evictability predicate, and whether oracles have been bound — so the
+// fault path neither allocates a closure (nor boxes an oracle adapter)
+// on every fault nor compares Views. The simulator passes the same View
+// for the whole run, so the first callback that carries one binds it.
 //
 // Strategies must call reset() in Init: a reused strategy may otherwise
 // hold a predicate over the previous run's view.
 type viewFuncs struct {
-	v        sim.View
-	resident func(core.PageID) bool
+	resident func(core.PageID) bool // nil until the run's View is bound
 }
 
-func (c *viewFuncs) reset() { c.v, c.resident = nil, nil }
+func (c *viewFuncs) reset() { c.resident = nil }
 
-// use updates the cache for view v and reports whether v is new (the
-// first fault of a run), in which case the caller should rebind oracles.
+// use binds v if the run has not bound a View yet and reports whether
+// it did (the run's first View-bearing callback), in which case the
+// caller should bind oracles.
 func (c *viewFuncs) use(v sim.View) bool {
-	if c.v == v {
+	if c.resident != nil {
 		return false
 	}
-	c.v = v
 	c.resident = residentOnly(v)
 	return true
 }
 
-// evictFor asks the policy for a victim, preferring the incoming-aware
-// path (ARC's ghost-directed REPLACE) when the policy offers one.
-func evictFor(p cache.Policy, incoming core.PageID, evictable func(core.PageID) bool) (core.PageID, bool) {
-	if ie, ok := p.(cache.IncomingEvictor); ok {
-		return ie.EvictFor(incoming, evictable)
+// evictor is a policy with its victim path resolved once, when the
+// policy is built: the incoming-aware path (ARC's ghost-directed
+// REPLACE) when the policy offers one, else Evict.
+type evictor struct {
+	cache.Policy
+	inc cache.IncomingEvictor // nil when the policy has no incoming-aware path
+}
+
+// newEvictor resolves p's victim path.
+func newEvictor(p cache.Policy) evictor {
+	inc, _ := p.(cache.IncomingEvictor)
+	return evictor{Policy: p, inc: inc}
+}
+
+// evictFor asks the policy for a victim to make room for incoming.
+func (e evictor) evictFor(incoming core.PageID, evictable func(core.PageID) bool) (core.PageID, bool) {
+	if e.inc != nil {
+		return e.inc.EvictFor(incoming, evictable)
 	}
-	return p.Evict(evictable)
+	return e.Evict(evictable)
 }
 
 // Shared manages the whole cache as one replacement domain: the paper's
 // S_A strategy for eviction policy A.
 type Shared struct {
-	pol  cache.Policy
+	pol  evictor
 	mk   cache.Factory
 	vf   viewFuncs
 	name string
@@ -87,7 +119,7 @@ type Shared struct {
 // NewShared returns the shared strategy S_A for the policy built by mk.
 func NewShared(mk cache.Factory) *Shared {
 	p := mk()
-	return &Shared{pol: p, mk: mk, name: "S(" + p.Name() + ")"}
+	return &Shared{pol: newEvictor(p), mk: mk, name: "S(" + p.Name() + ")"}
 }
 
 // Name implements sim.Strategy.
@@ -98,8 +130,8 @@ func (s *Shared) Name() string { return s.name }
 // internal arrays (that is the Policy.Reset contract: indistinguishable
 // from fresh).
 func (s *Shared) Init(inst core.Instance) error {
-	if s.pol == nil {
-		s.pol = s.mk()
+	if s.pol.Policy == nil {
+		s.pol = newEvictor(s.mk())
 	} else {
 		s.pol.Reset()
 	}
@@ -124,11 +156,11 @@ func (s *Shared) RemoveMetadata(p core.PageID) { s.pol.Remove(p) }
 // OnFault implements sim.Strategy.
 func (s *Shared) OnFault(p core.PageID, at cache.Access, v sim.View) core.PageID {
 	if s.vf.use(v) {
-		bindOracle(s.pol, v)
+		bindOracle(s.pol.Policy, v)
 	}
 	var victim core.PageID = core.NoPage
 	if v.Free() == 0 {
-		w, ok := evictFor(s.pol, p, s.vf.resident)
+		w, ok := s.pol.evictFor(p, s.vf.resident)
 		if !ok {
 			// No resident page to evict; the simulator will report the
 			// protocol violation. Cannot happen when K ≥ p.
@@ -149,7 +181,7 @@ func (s *Shared) OnCapacity(k int, _ int64) { s.pol.Resize(k) }
 // in flight; the engine retries at the next service step.
 func (s *Shared) SurrenderOne(v sim.View) (core.PageID, bool) {
 	if s.vf.use(v) {
-		bindOracle(s.pol, v)
+		bindOracle(s.pol.Policy, v)
 	}
 	return s.pol.Evict(s.vf.resident)
 }
@@ -259,11 +291,13 @@ func (c *staticController) Capacity(k int, _ int64) bool {
 	return true
 }
 
-// seedQuota is the initial quota of the adaptive controllers (FairShare,
-// UCP): an even split of the K cells, with inactive cores donating their
-// share to the first active core.
-func seedQuota(k int, active []bool) []int {
-	quota := EvenSizes(k, len(active))
+// seedQuota writes into dst, resized to len(active), the initial quota
+// of the adaptive controllers (FairShare, UCP): an even split of the K
+// cells, with inactive cores donating their share to the first active
+// core.
+func seedQuota(dst []int, k int, active []bool) []int {
+	quota := reuse(dst, len(active))
+	splitEven(quota, k)
 	first := -1
 	for j, a := range active {
 		if a {
@@ -286,12 +320,18 @@ func seedQuota(k int, active []bool) []int {
 // K mod p cores get one extra cell).
 func EvenSizes(k, p int) []int {
 	sizes := make([]int, p)
-	base, extra := k/p, k%p
+	splitEven(sizes, k)
+	return sizes
+}
+
+// splitEven writes into sizes the even split of k cells EvenSizes
+// returns.
+func splitEven(sizes []int, k int) {
+	base, extra := k/len(sizes), k%len(sizes)
 	for j := range sizes {
 		sizes[j] = base
 		if j < extra {
 			sizes[j]++
 		}
 	}
-	return sizes
 }

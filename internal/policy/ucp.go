@@ -27,6 +27,7 @@ type ucpController struct {
 	mons   []*umon
 	nextAt int64
 	active []bool
+	alloc  []int // repartition's scratch
 }
 
 // umon is a per-core utility monitor: a shadow LRU stack of up to k
@@ -38,6 +39,12 @@ type umon struct {
 
 func newUmon(k int) *umon {
 	return &umon{stack: make([]core.PageID, 0, k), hits: make([]int64, k)}
+}
+
+// reset empties the monitor, keeping its depth.
+func (m *umon) reset() {
+	m.stack = m.stack[:0]
+	clear(m.hits)
 }
 
 // access records one request in the shadow stack.
@@ -91,14 +98,21 @@ func (c *ucpController) Init(inst core.Instance) error {
 		return fmt.Errorf("policy: UCP needs K >= p (K=%d, p=%d)", inst.P.K, p)
 	}
 	c.k = inst.P.K
-	c.active = make([]bool, p)
+	c.active = reuse(c.active, p)
 	for j := range c.active {
 		c.active[j] = len(inst.R[j]) > 0
 	}
-	c.quota = seedQuota(c.k, c.active)
-	c.mons = make([]*umon, p)
-	for j := range c.mons {
-		c.mons[j] = newUmon(c.k)
+	c.quota = seedQuota(c.quota, c.k, c.active)
+	if len(c.mons) != p {
+		c.mons = make([]*umon, p)
+	}
+	for j, m := range c.mons {
+		// A monitor is k deep: its stack grows to its capacity.
+		if m != nil && cap(m.stack) == c.k {
+			m.reset()
+		} else {
+			c.mons[j] = newUmon(c.k)
+		}
 	}
 	c.nextAt = c.window
 	return nil
@@ -130,7 +144,8 @@ func (c *ucpController) StealOnEmpty() bool { return true }
 // repartition reassigns the K cells greedily by marginal utility.
 func (c *ucpController) repartition() {
 	p := len(c.quota)
-	alloc := make([]int, p)
+	c.alloc = reuse(c.alloc, p)
+	alloc := c.alloc
 	remaining := c.k
 	for j := 0; j < p; j++ {
 		if c.active[j] {

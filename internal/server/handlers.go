@@ -80,7 +80,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "decoding job: %v", err)
 		return
 	}
-	run, set, err := req.resolve(s.traceStep(r.Context()))
+	run, set, err := req.resolve(s.traceStep(r.Context()), s.cfg.MaxRequests)
 	if err != nil {
 		if r.Context().Err() == nil {
 			WriteError(w, http.StatusBadRequest, "%v", err)
@@ -187,7 +187,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "decoding sweep: %v", err)
 		return
 	}
-	runs, set, err := req.resolve(s.traceStep(r.Context()))
+	runs, set, err := req.resolve(s.traceStep(r.Context()), s.cfg.MaxRequests)
 	if err != nil {
 		if r.Context().Err() == nil {
 			WriteError(w, http.StatusBadRequest, "%v", err)

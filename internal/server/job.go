@@ -11,6 +11,7 @@ import (
 
 	"mcpaging/internal/capacity"
 	"mcpaging/internal/core"
+	"mcpaging/internal/sim"
 	"mcpaging/internal/sweep"
 	"mcpaging/internal/trace"
 	"mcpaging/internal/workload"
@@ -44,7 +45,8 @@ func (t TraceInput) Resolve(maxRequests int) (core.RequestSet, error) {
 
 // check validates what Resolve can validate before it materialises the
 // set: exactly one input mode, and a workload spec that is valid and
-// within the budget.
+// whose generation is within the budget. Generation is charged a step
+// per request and a step per entry of every permutation it draws.
 func (t TraceInput) check(maxRequests int) error {
 	modes := 0
 	if t.Inline != nil {
@@ -68,9 +70,14 @@ func (t TraceInput) check(maxRequests int) error {
 	}
 	// Check the budget before generating (Cores ≥ 1 and Length ≥ 0 are
 	// validated above; the per-factor checks rule out overflow).
-	if spec.Cores > maxRequests || spec.Length > maxRequests ||
-		int64(spec.Cores)*int64(spec.Length) > int64(maxRequests) {
+	requests := int64(spec.Cores) * int64(spec.Length)
+	if spec.Cores > maxRequests || spec.Length > maxRequests || requests > int64(maxRequests) {
 		return fmt.Errorf("trace: workload of %d x %d requests exceeds the per-job budget of %d", spec.Cores, spec.Length, maxRequests)
+	}
+	// Pages ≥ 1 is validated above; dividing keeps the product in range.
+	if perms := spec.Permutations(); perms > (int64(maxRequests)-requests)/int64(spec.Pages) {
+		return fmt.Errorf("trace: workload of %d x %d requests and %d permutations of %d pages exceeds the per-job budget of %d",
+			spec.Cores, spec.Length, perms, spec.Pages, maxRequests)
 	}
 	return nil
 }
@@ -165,20 +172,23 @@ type JobRequest struct {
 
 // Resolve validates the request and resolves it to the one run it
 // names: strategy present, capacity spec, parameters, then the trace
-// under the maxRequests budget. It is the only place mcservd and the
-// mcfleet coordinator parse a job. Only the portable capacity families
-// are accepted: a client-supplied spec must never name a file on the
-// host.
+// under the maxRequests budget, and last the cells the run needs (see
+// sweep.CheckCells). It is the only place mcservd and the mcfleet
+// coordinator parse a job. Only the portable capacity families are
+// accepted: a client-supplied spec must never name a file on the host.
 func (req JobRequest) Resolve(maxRequests int) (sweep.Job, error) {
-	run, _, err := req.resolve(plainTrace(maxRequests))
+	run, _, err := req.resolve(plainTrace(maxRequests), maxRequests)
 	return run, err
 }
 
 // resolve is Resolve with its trace step supplied: mcservd's handlers
 // pass the server's, which reuses the last workload spec resolved.
-func (req JobRequest) resolve(step traceStep) (sweep.Job, traceSet, error) {
+func (req JobRequest) resolve(step traceStep, maxRequests int) (sweep.Job, traceSet, error) {
 	if req.Strategy == "" {
 		return sweep.Job{}, traceSet{}, errors.New("strategy is required")
+	}
+	if err := checkK(req.K, maxRequests); err != nil {
+		return sweep.Job{}, traceSet{}, err
 	}
 	params := core.Params{K: req.K, Tau: req.Tau}
 	if req.Capacity != "" {
@@ -193,6 +203,12 @@ func (req JobRequest) resolve(step traceStep) (sweep.Job, traceSet, error) {
 	}
 	set, err := step(req.Trace)
 	if err != nil {
+		return sweep.Job{}, traceSet{}, err
+	}
+	if err := sweep.CheckCells(set.rs, params); err != nil {
+		return sweep.Job{}, traceSet{}, err
+	}
+	if err := sim.CheckClock(set.rs.TotalLen(), req.Tau); err != nil {
 		return sweep.Job{}, traceSet{}, err
 	}
 	cell := sweep.Cell{K: req.K, Tau: req.Tau, Capacity: req.Capacity, Spec: req.Strategy}
@@ -252,13 +268,18 @@ type SweepRequest struct {
 // the grid, portable capacity families only. It is the only place
 // mcservd and the mcfleet coordinator parse a sweep.
 func (req SweepRequest) Resolve(maxRequests int) ([]sweep.Job, error) {
-	runs, _, err := req.resolve(plainTrace(maxRequests))
+	runs, _, err := req.resolve(plainTrace(maxRequests), maxRequests)
 	return runs, err
 }
 
 // resolve is Resolve with its trace step supplied, like
 // JobRequest.resolve.
-func (req SweepRequest) resolve(step traceStep) ([]sweep.Job, traceSet, error) {
+func (req SweepRequest) resolve(step traceStep, maxRequests int) ([]sweep.Job, traceSet, error) {
+	for _, k := range req.Ks {
+		if err := checkK(k, maxRequests); err != nil {
+			return nil, traceSet{}, err
+		}
+	}
 	set, err := step(req.Trace)
 	if err != nil {
 		return nil, traceSet{}, err
@@ -266,6 +287,17 @@ func (req SweepRequest) resolve(step traceStep) ([]sweep.Job, traceSet, error) {
 	runs, err := sweep.Grid{R: set.rs, Ks: req.Ks, Taus: req.Taus, Capacities: req.Capacities,
 		Specs: req.Strategies, Seed: req.Seed, PortableOnly: true}.Jobs()
 	return runs, set, err
+}
+
+// checkK bounds K by the per-job budget. A run of at most maxRequests
+// requests never fills more cells, and some strategies (UCP's utility
+// monitors, sP[opt]'s miss curves) take memory and time in proportion
+// to K, so a larger K is refused before anything is built for it.
+func checkK(k, maxRequests int) error {
+	if k > maxRequests {
+		return fmt.Errorf("K=%d exceeds the per-job budget of %d", k, maxRequests)
+	}
+	return nil
 }
 
 // SweepLine is one JSONL line of the sweep stream.

@@ -95,6 +95,14 @@ func (s *Server) execute(rn **sim.Runner, j *job) outcome {
 	if err != nil {
 		return outcome{err: errBuild{err}}
 	}
+	// A strategy that cannot shed cells cannot run under a changing
+	// K(t). The engine refuses such a run, but the client chose the
+	// pair, so it is refused here as a build error, not a failed run.
+	if sched := j.Params.Capacity; sched != nil && !sched.Constant() {
+		if _, ok := st.(sim.CapacityAware); !ok {
+			return outcome{err: errBuild{fmt.Errorf("strategy %s does not support time-varying capacity (schedule %s)", st.Name(), sched)}}
+		}
+	}
 	if *rn == nil {
 		*rn, err = sim.NewRunner(j.R)
 	} else {

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -559,6 +560,11 @@ func TestJobValidationErrors(t *testing.T) {
 		{"bad params", JobRequest{Trace: TraceInput{Inline: testTrace()}, Strategy: "S(LRU)", K: 0}, http.StatusBadRequest},
 		{"unknown policy", JobRequest{Trace: TraceInput{Inline: testTrace()}, Strategy: "S(NOPE)", K: 4}, http.StatusUnprocessableEntity},
 		{"malformed spec", JobRequest{Trace: TraceInput{Inline: testTrace()}, Strategy: "garbage", K: 4}, http.StatusUnprocessableEntity},
+		{"K over the budget", JobRequest{Trace: TraceInput{Inline: testTrace()}, Strategy: "dP[ucp](LRU)", K: 1 << 30}, http.StatusBadRequest},
+		{"FWF under K(t)", JobRequest{Trace: TraceInput{Inline: testTrace()}, Strategy: "S(FWF)", K: 4,
+			Capacity: "step(to=50%,at=4)"}, http.StatusUnprocessableEntity},
+		{"tau that overflows the clock", JobRequest{Trace: TraceInput{Inline: testTrace()}, Strategy: "S(LRU)", K: 4,
+			Tau: math.MaxInt}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, ts.URL+"/v1/jobs", tc.req)
@@ -567,6 +573,95 @@ func TestJobValidationErrors(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.code)
 		}
 	}
+}
+
+// postStatus posts body to url and fails unless the response has the
+// given status and its body contains want.
+func postStatus(t *testing.T, url string, body interface{}, code int, want string) {
+	t.Helper()
+	resp := postJSON(t, url, body)
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != code || !strings.Contains(string(msg), want) {
+		t.Fatalf("%s: status %d, body %q; want %d naming %q", url, resp.StatusCode, msg, code, want)
+	}
+}
+
+// TestTooFewCellsIs400: a job or sweep whose K is below its core count,
+// or whose K(t) falls below the number of cores with requests, names no
+// valid run: the strategies and the engine refuse it once it starts.
+// Jobs failed so as a 500, which the fleet reads as a dead worker; jobs
+// and sweeps are now refused as a 400 naming the bound, before anything
+// is queued.
+func TestTooFewCellsIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	zipf4 := TraceInput{Workload: &workload.Spec{Kind: workload.Zipf, Cores: 4, Length: 200, Pages: 32, Seed: 1}}
+	for _, spec := range []string{"S(LRU)", "dP(LRU)", "S(FITF)", "sP[even](LRU)", "dP[fair](LRU)", "dP[ucp](LRU)"} {
+		for k := 1; k < 4; k++ {
+			postStatus(t, ts.URL+"/v1/jobs", JobRequest{Trace: zipf4, Strategy: spec, K: k, Tau: 1},
+				http.StatusBadRequest, "K="+strconv.Itoa(k)+" below core count 4")
+		}
+	}
+	postStatus(t, ts.URL+"/v1/jobs", JobRequest{Trace: zipf4, Strategy: "eP[even](LRU)", K: 8, Tau: 1,
+		Capacity: "step(to=25%,at=10)"}, http.StatusBadRequest, "reaches 2 cells, below 4 active cores")
+	grid := SweepRequest{Trace: zipf4, Ks: []int{8, 16}, Taus: []int{1}, Strategies: []string{"S(LRU)"},
+		Capacities: []string{"", "step(to=25%,at=10)"}}
+	postStatus(t, ts.URL+"/v1/sweep", grid, http.StatusBadRequest, "K=8: capacity schedule")
+	postStatus(t, ts.URL+"/v1/sweep", grid, http.StatusBadRequest, "reaches 2 cells, below 4 active cores")
+	grid.Ks, grid.Capacities = []int{3, 8}, nil
+	postStatus(t, ts.URL+"/v1/sweep", grid, http.StatusBadRequest, "K=3 below core count 4")
+
+	// Empty cores need no cell under K(t): with two of four cores
+	// active, K(t) may fall to 2.
+	sparse := TraceInput{Inline: []core.Sequence{{1, 2, 3, 1, 2, 3}, {}, {10, 11, 10, 12}, {}}}
+	postStatus(t, ts.URL+"/v1/jobs", JobRequest{Trace: sparse, Strategy: "S(LRU)", K: 4, Tau: 1,
+		Capacity: "step(to=50%,at=3)"}, http.StatusOK, `"result"`)
+}
+
+// TestGenerationChargedAgainstBudget: generating a workload costs a
+// step per request and a step per entry of every permutation it draws
+// (one per Zipf core, empty cores included, and one per phase of a
+// Phased core), and a spec whose total exceeds the per-job budget is
+// refused before anything is generated. Unrefused, the over-budget
+// specs below take from a tenth of a second to hours of CPU.
+func TestGenerationChargedAgainstBudget(t *testing.T) {
+	in := func(s workload.Spec) TraceInput { return TraceInput{Workload: &s} }
+	zipf := workload.Spec{Kind: workload.Zipf, Cores: 4, Length: 1000, Pages: 512, Seed: 1}
+	phased := workload.Spec{Kind: workload.Phased, Cores: 2, Length: 100, Pages: 100, Phases: 10, Seed: 1}
+	huge := workload.Spec{Kind: workload.Phased, Cores: 1, Length: 10, Pages: 4, Phases: math.MaxInt, Seed: 1}
+	for _, tc := range []struct {
+		name   string
+		in     TraceInput
+		budget int
+		ok     bool
+	}{
+		{"zipf at the budget", in(zipf), 4*1000 + 4*512, true},
+		{"zipf one step over", in(zipf), 4*1000 + 4*512 - 1, false},
+		{"empty zipf cores", in(workload.Spec{Kind: workload.Zipf, Cores: 64, Pages: 65535}), 1 << 20, false},
+		{"empty zipf cores, default budget", in(workload.Spec{Kind: workload.Zipf, Cores: 8 << 20, Pages: 65535}), 8 << 20, false},
+		{"phases", in(workload.Spec{Kind: workload.Phased, Cores: 1, Length: 2000, Pages: 65535, Phases: 2000}), 8 << 20, false},
+		{"phased at the budget", in(phased), 2*100 + 2*10*100, true},
+		{"phased one step over", in(phased), 2*100 + 2*10*100 - 1, false},
+		{"a phase a request", in(huge), 10 + 10*4, true},
+	} {
+		rs, err := tc.in.Resolve(tc.budget)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.ok && rs.TotalLen() != tc.in.Workload.Cores*tc.in.Workload.Length:
+			t.Errorf("%s: %d requests generated", tc.name, rs.TotalLen())
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), "permutations") ||
+			!strings.Contains(err.Error(), "per-job budget of "+strconv.Itoa(tc.budget))):
+			t.Errorf("%s: err = %v, want the budget named", tc.name, err)
+		}
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 1})
+	costly := in(workload.Spec{Kind: workload.Zipf, Cores: 8 << 20, Pages: 65535})
+	postStatus(t, ts.URL+"/v1/jobs", JobRequest{Trace: costly, Strategy: "S(LRU)", K: 8 << 20},
+		http.StatusBadRequest, "per-job budget")
+	postStatus(t, ts.URL+"/v1/sweep", SweepRequest{Trace: costly, Ks: []int{8 << 20}, Taus: []int{0},
+		Strategies: []string{"S(LRU)"}}, http.StatusBadRequest, "per-job budget")
 }
 
 // TestUnusableZipfIs400: with "zipf_v": 1e15 the Zipf generator drew a

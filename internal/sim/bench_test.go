@@ -11,6 +11,7 @@ import (
 	"mcpaging/internal/core"
 	"mcpaging/internal/policy"
 	"mcpaging/internal/sim"
+	"mcpaging/internal/strategyspec"
 	"mcpaging/internal/trace"
 	"mcpaging/internal/workload"
 )
@@ -106,11 +107,39 @@ func benchShapes(perCore int) []benchShape {
 	return shapes
 }
 
-// BenchmarkSimServe runs one sub-benchmark per serve-path shape. Each
-// replays its workload through a reused Runner, so the numbers track
-// the per-request cost of that path with steady-state allocations.
+// sweepShapes builds the cells of the sweep workloads: the four
+// strategies they run, composed by strategyspec as a worker composes
+// them, over their input shape (4 × 12 500 zipf requests, 512 pages per
+// core) at K 64 and 256 and τ 0 and 8.
+func sweepShapes(b *testing.B) []benchShape {
+	rs, err := workload.Generate(workload.Spec{Kind: workload.Zipf, Cores: 4, Length: 12500, Pages: 512, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var shapes []benchShape
+	for _, spec := range []string{"S(LRU)", "sP[even](LRU)", "dP(LRU)", "S(ARC)"} {
+		for _, k := range []int{64, 256} {
+			for _, tau := range []int{0, 8} {
+				if _, err := strategyspec.Build(spec, rs, k, 1); err != nil {
+					b.Fatal(err)
+				}
+				shapes = append(shapes, benchShape{fmt.Sprintf("sweep/%s/K%d/tau%d", spec, k, tau), rs, core.Params{K: k, Tau: tau},
+					func() sim.Strategy {
+						s, _ := strategyspec.Build(spec, rs, k, 1) // built above without error
+						return s
+					}})
+			}
+		}
+	}
+	return shapes
+}
+
+// BenchmarkSimServe runs one sub-benchmark per serve-path shape and
+// per cell of the sweep workloads. Each replays its workload through a
+// reused Runner, so the numbers track the per-request cost of that path
+// with steady-state allocations.
 func BenchmarkSimServe(b *testing.B) {
-	for _, sh := range benchShapes(50000) {
+	for _, sh := range append(benchShapes(50000), sweepShapes(b)...) {
 		b.Run(sh.name, func(b *testing.B) {
 			rn, err := sim.NewRunner(sh.rs)
 			if err != nil {

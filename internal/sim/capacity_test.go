@@ -308,14 +308,18 @@ func TestElasticRejectsBelowActiveCores(t *testing.T) {
 
 // TestElasticRunAllocBound extends the hot-path allocation budget to
 // elastic runs: a warmed Runner replaying a step-shrink schedule must
-// stay within the same 4 allocs/run bound — capacity boundaries are a
-// cold path, but they must not leak per-run garbage either.
+// stay within the fixed-K bound of 4 allocs/run. Capacity boundaries
+// are a cold path, but they must not leak per-run garbage either, nor
+// garbage per shed cell or per repartition: two cores cycling over 48
+// pages each fill K = 64, so halving it sheds cells. The shared
+// strategy and the even, FairShare and UCP partitions (the eP family's
+// controllers) all reuse their scratch and per-core arrays across runs.
 func TestElasticRunAllocBound(t *testing.T) {
 	rs := make(core.RequestSet, 2)
 	for c := range rs {
 		seq := make(core.Sequence, 4096)
 		for i := range seq {
-			seq[i] = core.PageID(c*16 + i%16)
+			seq[i] = core.PageID(c*48 + i%48)
 		}
 		rs[c] = seq
 	}
@@ -328,18 +332,29 @@ func TestElasticRunAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := core.Params{K: 64, Tau: 4, Capacity: sched}
-	s := policy.NewShared(lru())
-	if _, err := rn.Run(params, s, nil); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := rn.Run(params, s, nil); err != nil {
+	for _, s := range []sim.Strategy{
+		policy.NewShared(lru()),
+		policy.NewPartitioned(policy.StaticController(policy.EvenSizes(64, 2)), lru()),
+		policy.NewPartitioned(policy.FairController(0), lru()),
+		policy.NewPartitioned(policy.UCPController(0), lru()),
+	} {
+		res, err := rn.Run(params, s, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	const bound = 4
-	if allocs > bound {
-		t.Fatalf("warmed elastic Runner.Run: %v allocs/run, want at most %d", allocs, bound)
+		if res.CapacityEvictions == 0 {
+			t.Fatalf("%s: the shrink shed no cell", s.Name())
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := rn.Run(params, s, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		const bound = 4
+		if allocs > bound {
+			t.Errorf("warmed elastic Runner.Run of %s: %v allocs/run, want at most %d (%d cells shed)",
+				s.Name(), allocs, bound, res.CapacityEvictions)
+		}
 	}
 }
 

@@ -289,13 +289,15 @@ func (ip *initProbe) Init(inst core.Instance) error {
 	return ip.Strategy.Init(inst)
 }
 
-// TestBindPathByDistinctCount binds inputs whose max page ID lies in
-// [1024, 2n), where the distinct-page count decides whether the engine
-// renames. A job-shaped generated set (4 × 25 000 zipf requests, 512
-// pages per core at j·2^16, so max ID ≈ 197K < 2n = 200K) and a set
-// whose max ID is exactly twice its distinct count must reach Init in
-// rank order; a set whose max ID is one step below that bound must
-// reach it unchanged.
+// TestBindPathByDistinctCount pins bind's three ways of numbering pages
+// at their boundaries. A max ID below 1024, or below twice the distinct
+// count, keeps the input's IDs. Otherwise the pages are ranked: through
+// the distinct-page bitset while it takes at most 4 bytes a request (n/2
+// words of 64 IDs), through the hash table past that. A job-shaped
+// generated set (4 × 25 000 zipf requests, 512 pages per core at j·2^16,
+// max ID ≈ 197K) takes the bitset, and a rebind to it after Release
+// reuses the tables. Every case must reach Init in rank order, or
+// unchanged on the direct path.
 func TestBindPathByDistinctCount(t *testing.T) {
 	job, err := workload.Generate(workload.Spec{Kind: workload.Zipf, Cores: 4, Length: 25000, Pages: 512, Seed: 3})
 	if err != nil {
@@ -312,16 +314,42 @@ func TestBindPathByDistinctCount(t *testing.T) {
 		}
 		return rs
 	}
+	// topped(maxID): 2 000 requests, IDs 0..1998 and then maxID, whose
+	// bitset takes maxID/64+1 words against the 1 000 that 2 000
+	// requests allow.
+	topped := func(maxID int) core.RequestSet {
+		rs := core.RequestSet{nil, {core.PageID(maxID)}}
+		for i := 0; i < 1999; i++ {
+			rs[0] = append(rs[0], core.PageID(i))
+		}
+		return rs
+	}
+	// pair(maxID, reps): pages 0 and maxID on core 0 and page 512 on
+	// core 1, reps times over.
+	pair := func(maxID, reps int) core.RequestSet {
+		rs := make(core.RequestSet, 2)
+		for r := 0; r < reps; r++ {
+			rs[0] = append(rs[0], 0, core.PageID(maxID))
+			rs[1] = append(rs[1], 512)
+		}
+		return rs
+	}
 	rn := new(sim.Runner)
 	for _, tc := range []struct {
-		name    string
-		rs      core.RequestSet
-		renamed bool
+		name string
+		rs   core.RequestSet
+		path string
 	}{
-		{"job", job, true},
-		{"dense", evens(0, 3000, 1), false}, // max 5998 = 2·3000 − 2
-		{"sparse", evens(2, 3000, 2), true}, // max 6000 = 2·3000
-		{"job again", job, true},
+		{"job", job, "bitset"},
+		{"job held", job, "held"},
+		{"small IDs", pair(1023, 1), "direct"},
+		{"past small IDs", pair(1024, 12), "bitset"},            // 17 words for 36 requests
+		{"past small IDs, few requests", pair(1024, 1), "hash"}, // 17 words for 3 requests
+		{"dense", evens(0, 3000, 1), "direct"},                  // max 5998 = 2·3000 − 2
+		{"sparse", evens(2, 3000, 2), "bitset"},                 // max 6000 = 2·3000
+		{"widest bitset", topped(63999), "bitset"},              // 1 000 words
+		{"one word past", topped(64000), "hash"},                // 1 001 words
+		{"job again", job, "bitset"},
 	} {
 		var distinct []core.PageID
 		for _, seq := range tc.rs {
@@ -330,11 +358,12 @@ func TestBindPathByDistinctCount(t *testing.T) {
 		slices.Sort(distinct)
 		distinct = slices.Compact(distinct)
 		maxID := distinct[len(distinct)-1]
-		if n := tc.rs.TotalLen(); maxID < 1024 || int(maxID) >= 2*n {
-			t.Fatalf("%s: max ID %d outside [1024, %d)", tc.name, maxID, 2*n)
-		}
 		if err := rn.Bind(tc.rs); err != nil {
 			t.Fatal(err)
+		}
+		if got := rn.BindPath(); got != tc.path {
+			t.Errorf("%s (%d requests, %d distinct, max ID %d): bind path %s, want %s",
+				tc.name, tc.rs.TotalLen(), len(distinct), maxID, got, tc.path)
 		}
 		probe := &initProbe{Strategy: policy.NewShared(lru())}
 		if _, err := rn.Run(core.Params{K: 64, Tau: 2}, probe, nil); err != nil {
@@ -342,7 +371,7 @@ func TestBindPathByDistinctCount(t *testing.T) {
 		}
 		rn.Release()
 		want := tc.rs
-		if tc.renamed {
+		if tc.path != "direct" {
 			want = tc.rs.Clone()
 			for _, seq := range want {
 				for i, pg := range seq {
@@ -352,7 +381,7 @@ func TestBindPathByDistinctCount(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(probe.got, want) {
-			t.Errorf("%s (%d distinct, max ID %d): Init's instance is not the input (renamed: %v)", tc.name, len(distinct), maxID, tc.renamed)
+			t.Errorf("%s (%d distinct, max ID %d): Init's instance is not the input (path %s)", tc.name, len(distinct), maxID, tc.path)
 		}
 	}
 }
@@ -461,11 +490,15 @@ func TestRenameMatchesSort(t *testing.T) {
 	}
 }
 
-// FuzzRenameMatchesSort binds one runner to three random sparse sets in
-// turn, releasing it between some of them, and checks each bind against
-// the sort-and-search oracle. The sets mix uniform IDs up to 2^31−1,
+// FuzzRenameMatchesSort binds one runner to three random sets in turn,
+// releasing it between some of them, and checks each bind against the
+// sort-and-search oracle. Half the sets mix uniform IDs up to 2^31−1,
 // per-core clusters at c·2^16 like generated workloads, and multiples
-// of a large power of two, which share their low bits.
+// of a large power of two, which share their low bits; nearly all of
+// these take the hash path. The other half draw IDs below a span of up
+// to 64 per request, on both sides of the bitset path's bound of about
+// 32 per request, and below twice the distinct count for the direct
+// path.
 func FuzzRenameMatchesSort(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 42, 1 << 40} {
 		f.Add(seed)
@@ -474,8 +507,19 @@ func FuzzRenameMatchesSort(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		rn := new(sim.Runner)
 		for b := 0; b < 3; b++ {
+			rs := make(core.RequestSet, 1+rng.Intn(8))
+			n := 0
+			for c := range rs {
+				rs[c] = make(core.Sequence, rng.Intn(2000))
+				n += len(rs[c])
+			}
+			span, scaled := 1+rng.Intn(64*n+1), rng.Intn(2) == 0
 			pool := make([]core.PageID, 1+rng.Intn(3000))
 			for i := range pool {
+				if scaled {
+					pool[i] = core.PageID(rng.Intn(span))
+					continue
+				}
 				switch rng.Intn(3) {
 				case 0:
 					pool[i] = core.PageID(rng.Int31())
@@ -485,10 +529,9 @@ func FuzzRenameMatchesSort(f *testing.F) {
 					pool[i] = core.PageID(rng.Intn(1<<11) << 20)
 				}
 			}
-			rs := make(core.RequestSet, 1+rng.Intn(8))
-			for c := range rs {
-				for i := rng.Intn(2000); i > 0; i-- {
-					rs[c] = append(rs[c], pool[rng.Intn(len(pool))])
+			for _, seq := range rs {
+				for i := range seq {
+					seq[i] = pool[rng.Intn(len(pool))]
 				}
 			}
 			requireInitSeesRankRenaming(t, fmt.Sprintf("seed=%d bind=%d", seed, b), rn, rs)

@@ -38,8 +38,16 @@
 // and offline constructions) are used as-is. Sparser inputs, such as
 // generated workloads with per-core namespaces, are renamed once on
 // bind: each page becomes its rank among the instance's distinct IDs.
-// The rename numbers pages by first appearance through an
-// open-addressing table, not a map, then sorts the distinct IDs.
+// Bind takes one of three paths:
+//
+//   - direct IDs: the max ID is below 1024, or below twice the distinct
+//     count, which a distinct-page bitset counts;
+//   - bitset ranks: the bitset (8 bytes per 64 IDs) is built when it is
+//     no larger than the dense sequences (4 bytes a request), and a
+//     page's rank is its word's prefix count plus a popcount within the
+//     word;
+//   - hash ranks: sparser sets number pages by first appearance through
+//     an open-addressing table, not a map, then sort the distinct IDs.
 //
 // # The serve loop: due masks
 //
@@ -140,9 +148,21 @@ type Strategy interface {
 // served. This models the paper's "forcing" algorithms (Theorem 4) and
 // dynamic partitions that shrink a part on a schedule (Theorem 1(3)).
 // The strategy must have already dropped the returned pages from its own
-// metadata; the simulator removes them from the cache ground truth.
+// metadata; the simulator removes them from the cache ground truth. The
+// simulator reads the returned slice before its next call into the
+// strategy, so a strategy may reuse one slice across ticks.
 type Ticker interface {
 	OnTick(t int64, v View) []core.PageID
+}
+
+// Ticking is an optional Ticker extension for strategies that tick
+// only in some configurations. The engine asks Ticks once per run,
+// after Init; when it reports false, OnTick is not called that run, so
+// it must then return no page at any step. A partitioned strategy whose
+// controller never repartitions over time (every static partition)
+// reports false.
+type Ticking interface {
+	Ticks() bool
 }
 
 // Repartitioner is an optional Strategy marker: implementing it declares
@@ -382,13 +402,14 @@ type engine struct {
 	lastCore []int32
 	slotCur  []int32
 	posCur   []int32
-	bits     []uint64 // distinct-page bitset of the direct-path check
+	bits     []uint64 // distinct-page bitset (see countDistinct)
+	bitBase  []int32  // per bitset word: the set bits of the words below it
 
 	// The renamed tables: names maps rank → original ID and denseSeqs
 	// holds the renamed sequences. Both are runner-owned and outlive
 	// Release and direct binds, so a rebind to the set they hold reuses
 	// them. first (the open-addressing first-appearance table, see
-	// rename), keys and rank are scratch for building them. Release
+	// rename), keys and rank are scratch for the hash path. Release
 	// drops keys and rank, and drops first only when it is larger than
 	// the renamed sequences.
 	names     []core.PageID
@@ -396,7 +417,19 @@ type engine struct {
 	first     []uint64
 	keys      []uint64
 	rank      []core.PageID
+
+	path bindPath // how the last bind numbered its set's pages
 }
+
+// bindPath is how a bind numbers the pages of its set.
+type bindPath uint8
+
+const (
+	pathDirect bindPath = iota // the set's own IDs
+	pathBitset                 // ranks by prefix popcount over the distinct-page bitset
+	pathHash                   // ranks through the first-appearance table and a sort
+	pathHeld                   // the renamed tables already hold an equal set
+)
 
 var _ View = (*engine)(nil)
 var _ cache.Oracle = (*engine)(nil)
@@ -573,6 +606,7 @@ func NewRunner(rs core.RequestSet) (*Runner, error) {
 func (r *Runner) bind(rs core.RequestSet) error {
 	e := &r.e
 	if e.holds(rs) {
+		e.path = pathHeld
 		e.use(e.denseSeqs, e.names, len(e.names), rs.TotalLen())
 		return nil
 	}
@@ -581,18 +615,28 @@ func (r *Runner) bind(rs core.RequestSet) error {
 		return rs.Validate()
 	}
 	n := rs.TotalLen()
-	// Below 2n the distinct count decides; at or above it, the input is
-	// sparse whatever the count, since n bounds it.
+	// The bitset takes 8 bytes per 64 IDs. It is built when that is no
+	// more than the 4 bytes a request the renamed sequences take, which
+	// covers every max ID below 2n; without it, n bounds the distinct
+	// count, and a max ID at or above 2n is sparse whatever the count.
+	counted := maxID >= smallIDs && 2*(int(maxID)/64+1) <= n
 	distinct := n
-	if maxID >= smallIDs && int(maxID) < 2*n {
+	if counted {
 		distinct = e.countDistinct(rs, maxID)
 	}
-	if directIDs(maxID, distinct) {
+	switch {
+	case directIDs(maxID, distinct):
+		e.path = pathDirect
 		e.use(rs, nil, int(maxID)+1, n)
-	} else {
+		return nil
+	case counted:
+		e.path = pathBitset
+		e.rankBits(rs, distinct)
+	default:
+		e.path = pathHash
 		e.rename(rs)
-		e.use(e.denseSeqs, e.names, len(e.names), n)
 	}
+	e.use(e.denseSeqs, e.names, len(e.names), n)
 	return nil
 }
 
@@ -611,7 +655,7 @@ func maxPage(rs core.RequestSet) (maxID core.PageID, ok bool) {
 }
 
 // countDistinct counts the distinct pages of rs, all in [0, maxID], in
-// a bitset reused across binds.
+// a bitset reused across binds. The bitset stays set for rankBits.
 func (e *engine) countDistinct(rs core.RequestSet, maxID core.PageID) int {
 	e.bits = growSlice(e.bits, int(maxID)/64+1)
 	set := e.bits
@@ -627,6 +671,50 @@ func (e *engine) countDistinct(rs core.RequestSet, maxID core.PageID) int {
 		}
 	}
 	return distinct
+}
+
+// shapeDense sizes the runner's renamed sequences to rs's shape.
+func (e *engine) shapeDense(rs core.RequestSet) {
+	if cap(e.denseSeqs) < len(rs) {
+		e.denseSeqs = make([]core.Sequence, len(rs))
+	}
+	e.denseSeqs = e.denseSeqs[:len(rs)]
+	for j, seq := range rs {
+		if cap(e.denseSeqs[j]) < len(seq) {
+			e.denseSeqs[j] = make(core.Sequence, len(seq))
+		}
+		e.denseSeqs[j] = e.denseSeqs[j][:len(seq)]
+	}
+}
+
+// rankBits builds the renamed tables for rs from the bitset of its
+// distinct pages that countDistinct left: a page's rank is the number
+// of set bits below it, its word's prefix count plus a popcount within
+// the word. No sort is needed, since the bitset holds the distinct IDs
+// in order.
+func (e *engine) rankBits(rs core.RequestSet, distinct int) {
+	set := e.bits
+	e.bitBase = growSlice(e.bitBase, len(set))
+	names := e.names[:0]
+	if cap(names) < distinct {
+		names = make([]core.PageID, 0, distinct)
+	}
+	for w, word := range set {
+		e.bitBase[w] = int32(len(names))
+		for m := word; m != 0; m &= m - 1 {
+			names = append(names, core.PageID(w*64+bits.TrailingZeros64(m)))
+		}
+	}
+	e.names = names
+	e.shapeDense(rs)
+	base := e.bitBase
+	for j, seq := range rs {
+		ds := e.denseSeqs[j]
+		for i, pg := range seq {
+			w, b := uint32(pg)/64, uint32(pg)%64
+			ds[i] = core.PageID(base[w] + int32(bits.OnesCount64(set[w]&(1<<b-1))))
+		}
+	}
 }
 
 // The rename's first-appearance table is open-addressing: Fibonacci
@@ -678,16 +766,9 @@ func (e *engine) rename(rs core.RequestSet) {
 	tab := e.first
 	shift, mask := 64-uint(bits.TrailingZeros(uint(len(tab)))), uint64(len(tab)-1)
 	names := e.names[:0]
-	if cap(e.denseSeqs) < len(rs) {
-		e.denseSeqs = make([]core.Sequence, len(rs))
-	}
-	e.denseSeqs = e.denseSeqs[:len(rs)]
+	e.shapeDense(rs)
 	for j, seq := range rs {
 		ds := e.denseSeqs[j]
-		if cap(ds) < len(seq) {
-			ds = make(core.Sequence, len(seq))
-		}
-		ds = ds[:len(seq)]
 		for i, pg := range seq {
 			h := firstSlot(pg, shift)
 			for {
@@ -710,7 +791,6 @@ func (e *engine) rename(rs core.RequestSet) {
 				h = (h + 1) & mask
 			}
 		}
-		e.denseSeqs[j] = ds
 	}
 	e.first = tab
 	// Page IDs are non-negative int32s: (ID << 32 | first) sorts by ID.
@@ -886,6 +966,9 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 		return Result{}, err
 	}
 	e := &r.e
+	if err := CheckClock(e.occN, params.Tau); err != nil {
+		return Result{}, err
+	}
 	if err := s.Init(core.Instance{R: e.seqs, P: params}); err != nil {
 		return Result{}, fmt.Errorf("sim: strategy %s init: %w", s.Name(), err)
 	}
@@ -897,6 +980,9 @@ func (r *Runner) RunContext(ctx context.Context, params core.Params, s Strategy,
 		Finish: make([]int64, p),
 	}
 	ticker, _ := s.(Ticker)
+	if tk, ok := s.(Ticking); ok && !tk.Ticks() {
+		ticker = nil
+	}
 	_, repart := s.(Repartitioner)
 	ca, err := checkSchedule(e.seqs, s, e.sched)
 	if err != nil {
@@ -1079,6 +1165,19 @@ func (e *engine) serve(base int, due uint64, t int64, s Strategy, obs Observer, 
 	return hits, faults, nil
 }
 
+// CheckClock reports whether a run of n requests under fetch delay tau
+// keeps its clock within int64. A request takes at most τ+1 steps, so
+// the run ends by n·(τ+1), and the oracle reads up to n steps past a
+// core's clock. A larger τ would wrap the clock negative and break the
+// model's time order, so the engine refuses such a run before it
+// starts.
+func CheckClock(n, tau int) error {
+	if n > 0 && tau >= 0 && int64(tau) > math.MaxInt64/int64(n)-2 {
+		return fmt.Errorf("sim: tau=%d over %d requests overflows the clock", tau, n)
+	}
+	return nil
+}
+
 // checkSchedule validates a run's capacity schedule before the serve
 // loop starts and returns s's CapacityAware view (nil if s has none).
 // sched is nil for fixed-K runs, which need no check. Otherwise the
@@ -1151,7 +1250,8 @@ func (r *Runner) applyCapacity(t int64, s Strategy, obs Observer, res *Result) e
 // it takes no more bytes (8 a slot) than the renamed sequences the
 // runner parks anyway (4 a request), so a worker renaming job after job
 // stops reallocating it; a table grown by a set of few requests over
-// many pages is dropped.
+// many pages is dropped. The distinct-page bitset and its prefix counts
+// stay: bind builds them only within 6 bytes a request of their set.
 func (r *Runner) release() {
 	r.e.seqs = nil
 	r.e.sched = nil

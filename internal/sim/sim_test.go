@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -371,6 +372,31 @@ func TestInvalidInstanceRejected(t *testing.T) {
 	if _, err := sim.Run(core.Instance{R: core.RequestSet{{1}}, P: core.Params{K: 0}},
 		policy.NewShared(lru()), nil); err == nil {
 		t.Fatal("K=0 should be rejected")
+	}
+}
+
+// TestClockOverflowRefused: a fetch delay near the int limit wrapped
+// the clock negative, and a shared LRU then saw a page inserted twice
+// and panicked. A run of n requests is refused when n·(τ+2) passes the
+// int64 clock, and runs at the largest τ below that bound.
+func TestClockOverflowRefused(t *testing.T) {
+	rs := core.RequestSet{{1, 2, 3}, {4, 1}}
+	top := int(math.MaxInt64/5 - 2)
+	for _, tc := range []struct {
+		tau int
+		ok  bool
+	}{{top, true}, {top + 1, false}, {math.MaxInt, false}} {
+		res, err := sim.Run(core.Instance{R: rs, P: core.Params{K: 2, Tau: tc.tau}}, policy.NewShared(lru()), nil)
+		if !tc.ok {
+			if err == nil || !strings.Contains(err.Error(), "overflows the clock") {
+				t.Errorf("tau=%d: err = %v, want the clock overflow refused", tc.tau, err)
+			}
+			continue
+		}
+		// Every request faults: the first core takes three fetches.
+		if err != nil || res.Makespan != 3*(int64(tc.tau)+1) {
+			t.Errorf("tau=%d: makespan %d, err %v; want %d", tc.tau, res.Makespan, err, 3*(int64(tc.tau)+1))
+		}
 	}
 }
 

@@ -71,13 +71,16 @@ func (g Grid) Jobs() ([]Job, error) {
 			len(g.Ks), len(g.Taus), len(g.Specs))
 	}
 	for _, k := range g.Ks {
-		if k < g.R.NumCores() {
-			return nil, fmt.Errorf("sweep: K=%d below core count %d", k, g.R.NumCores())
+		if err := CheckCells(g.R, core.Params{K: k}); err != nil {
+			return nil, fmt.Errorf("sweep: %v", err)
 		}
 	}
 	for _, tau := range g.Taus {
 		if tau < 0 {
 			return nil, fmt.Errorf("sweep: negative tau %d", tau)
+		}
+		if err := sim.CheckClock(g.R.TotalLen(), tau); err != nil {
+			return nil, err
 		}
 	}
 	parse := capacity.ParseSchedule
@@ -98,6 +101,9 @@ func (g Grid) Jobs() ([]Job, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sweep: K=%d: %v", k, err)
 			}
+			if err := CheckCells(g.R, core.Params{K: k, Capacity: sched}); err != nil {
+				return nil, fmt.Errorf("sweep: K=%d: %v", k, err)
+			}
 			scheds[pair{cap, k}] = sched
 		}
 	}
@@ -108,6 +114,33 @@ func (g Grid) Jobs() ([]Job, error) {
 		jobs[i] = Job{Cell: c, R: g.R, Params: params, Seed: g.Seed}
 	}
 	return jobs, nil
+}
+
+// CheckCells reports, naming the bound, whether a run of rs under p has
+// fewer cells than the model needs: K below the core count (a partition
+// needs a cell for every core), or a K(t) schedule whose minimum is
+// below the number of cores with requests (every cell could be pinned
+// by an in-flight fetch, leaving a fault nothing to evict). The
+// strategies and the engine refuse such a run once it starts; Jobs and
+// server.JobRequest.Resolve check it first, so a client that asks for
+// one is refused before any work is queued.
+func CheckCells(rs core.RequestSet, p core.Params) error {
+	if p.K < rs.NumCores() {
+		return fmt.Errorf("K=%d below core count %d", p.K, rs.NumCores())
+	}
+	if p.Capacity == nil {
+		return nil
+	}
+	active := 0
+	for _, seq := range rs {
+		if len(seq) > 0 {
+			active++
+		}
+	}
+	if min := p.Capacity.Min(); min < active {
+		return fmt.Errorf("capacity schedule %s reaches %d cells, below %d active cores", p.Capacity, min, active)
+	}
+	return nil
 }
 
 // capacities returns the capacity dimension, defaulting to the single

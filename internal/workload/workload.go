@@ -189,10 +189,6 @@ func (s Spec) generateCore(rng *rand.Rand, z *zipfSampler) (core.Sequence, error
 			seq[i] = core.PageID((off + i) % s.Pages)
 		}
 	case Phased:
-		phases := s.Phases
-		if phases <= 0 {
-			phases = 8
-		}
 		ws := s.WorkingSet
 		if ws <= 0 {
 			ws = s.Pages / 4
@@ -203,7 +199,7 @@ func (s Spec) generateCore(rng *rand.Rand, z *zipfSampler) (core.Sequence, error
 		if ws > s.Pages {
 			ws = s.Pages
 		}
-		perPhase := (s.Length + phases - 1) / phases
+		perPhase := s.phaseLen()
 		for i := 0; i < s.Length; {
 			set := rng.Perm(s.Pages)[:ws]
 			for k := 0; k < perPhase && i < s.Length; k++ {
@@ -229,6 +225,34 @@ func (s Spec) generateCore(rng *rand.Rand, z *zipfSampler) (core.Sequence, error
 		}
 	}
 	return seq, nil
+}
+
+// phaseLen returns the requests per phase of a Phased spec of at least
+// one request: the length split over Phases (8 when unset) phases,
+// rounded up. It divides before it adds, so a Phases near the int limit
+// cannot overflow into a non-positive phase length.
+func (s Spec) phaseLen() int {
+	phases := s.Phases
+	if phases <= 0 {
+		phases = 8
+	}
+	return (s.Length-1)/phases + 1
+}
+
+// Permutations returns how many permutations of Pages pages Generate
+// draws for the spec: one per core for Zipf, empty cores included, one
+// per phase each core reaches for Phased, none for the other kinds.
+// Each costs Pages steps on top of the requests, so a spec of few
+// requests over many pages or phases can still be costly to generate.
+func (s Spec) Permutations() int64 {
+	switch {
+	case s.Kind == Zipf:
+		return int64(s.Cores)
+	case s.Kind == Phased && s.Length > 0:
+		perPhase := s.phaseLen()
+		return int64(s.Cores) * int64((s.Length-1)/perPhase+1)
+	}
+	return 0
 }
 
 // mixStream is Mix's sim.DeriveSeed stream ID. Families use stream 0

@@ -177,6 +177,38 @@ func TestPhasedHasLocality(t *testing.T) {
 	}
 }
 
+// TestPermutationsCountsDraws pins Permutations to the permutations
+// Generate draws: one per Zipf core, empty cores included, and one per
+// phase a Phased core reaches, at most one a request. A phase count at
+// the int limit overflowed the phase length to zero, and generation
+// then drew permutations forever without advancing.
+func TestPermutationsCountsDraws(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		want int64
+	}{
+		{Spec{Kind: Zipf, Cores: 5, Length: 0, Pages: 9}, 5},
+		{Spec{Kind: Zipf, Cores: 5, Length: 100, Pages: 9}, 5},
+		{Spec{Kind: Phased, Cores: 3, Length: 0, Pages: 9}, 0},
+		{Spec{Kind: Phased, Cores: 3, Length: 800, Pages: 9}, 3 * 8}, // 8 phases by default
+		{Spec{Kind: Phased, Cores: 2, Length: 10, Pages: 9, Phases: 4}, 2 * 4},
+		{Spec{Kind: Phased, Cores: 2, Length: 9, Pages: 9, Phases: 4}, 2 * 3}, // phases of 3
+		{Spec{Kind: Phased, Cores: 1, Length: 10, Pages: 4, Phases: int(^uint(0) >> 1)}, 10},
+		{Spec{Kind: Uniform, Cores: 3, Length: 10, Pages: 9}, 0},
+	} {
+		if got := tc.spec.Permutations(); got != tc.want {
+			t.Errorf("%+v: Permutations() = %d, want %d", tc.spec, got, tc.want)
+		}
+		rs, err := Generate(tc.spec)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.spec, err)
+		}
+		if rs.TotalLen() != tc.spec.Cores*tc.spec.Length {
+			t.Errorf("%+v: %d requests generated", tc.spec, rs.TotalLen())
+		}
+	}
+}
+
 func TestMarkovIsLocal(t *testing.T) {
 	spec := base(Markov)
 	spec.Length = 2000
