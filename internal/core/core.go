@@ -145,6 +145,15 @@ func (r RequestSet) Validate() error {
 		return errors.New("core: request set has no cores")
 	}
 	for j, s := range r {
+		// A negative page sets the sign bit of the OR of them all, so
+		// only a set that fails searches for its first negative page.
+		var or PageID
+		for _, p := range s {
+			or |= p
+		}
+		if or >= 0 {
+			continue
+		}
 		for i, p := range s {
 			if p < 0 {
 				return fmt.Errorf("core: core %d request %d: invalid page %d", j, i, p)

@@ -85,6 +85,21 @@ func TestValidate(t *testing.T) {
 	if err := (RequestSet{{1, 2}, {}}).Validate(); err != nil {
 		t.Errorf("valid set failed: %v", err)
 	}
+	// The error names the first negative page of the first core that has
+	// one, wherever it sits in the sequence.
+	for _, c := range []struct {
+		rs   RequestSet
+		want string
+	}{
+		{RequestSet{{-1, 2, 3, -4}}, "core: core 0 request 0: invalid page -1"},
+		{RequestSet{{1, 2}, {5, 6, -7, 8, -9}}, "core: core 1 request 2: invalid page -7"},
+		{RequestSet{{1, 2}, {}, {5, 6, 7, -2147483648}}, "core: core 2 request 3: invalid page -2147483648"},
+	} {
+		err := c.rs.Validate()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Validate(%v) = %v, want %q", c.rs, err, c.want)
+		}
+	}
 }
 
 func TestParamsValidate(t *testing.T) {

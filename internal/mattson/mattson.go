@@ -174,6 +174,12 @@ type Partition struct {
 // active[j] forces size ≥ 1 for cores with requests (the paper's rule
 // that every active core gets at least one cell). Curves shorter than K+1
 // are treated as flat beyond their last point.
+//
+// Among the partitions of fewest faults it returns one of fewest cells,
+// so no core gets more cells than its curve's flat point, where the
+// curve stops changing. The search gives each core at most that many
+// cells and spends at most min(K, Σ flat points) in all, so its work
+// follows the curves' lengths, not K.
 func Optimal(curves [][]int64, k int, active []bool) (Partition, error) {
 	p := len(curves)
 	if p == 0 {
@@ -182,6 +188,25 @@ func Optimal(curves [][]int64, k int, active []bool) (Partition, error) {
 	if len(active) != p {
 		return Partition{}, fmt.Errorf("mattson: active mask has %d entries for %d cores", len(active), p)
 	}
+	// flat[j] is the size past which core j's curve no longer changes
+	// (at least 1 for an active core): more cells save it no fault.
+	flat := make([]int, p)
+	total := 0
+	for j, c := range curves {
+		if len(c) == 0 {
+			return Partition{}, fmt.Errorf("mattson: core %d has an empty curve", j)
+		}
+		f := len(c) - 1
+		for f > 0 && c[f-1] == c[f] {
+			f--
+		}
+		if active[j] {
+			f = max(f, 1)
+		}
+		flat[j] = f
+		total += f
+	}
+	u := min(k, total)
 	at := func(j, s int) int64 {
 		c := curves[j]
 		if s >= len(c) {
@@ -190,41 +215,41 @@ func Optimal(curves [][]int64, k int, active []bool) (Partition, error) {
 		return c[s]
 	}
 	const inf = int64(math.MaxInt64) / 4
-	// dp[k'] after processing j cores; choice[j][k'] = size given to core j.
-	dp := make([]int64, k+1)
+	// dp[t] after processing j cores; choice[j][t] = size given to core j.
+	dp := make([]int64, u+1)
+	ndp := make([]int64, u+1)
 	for i := range dp {
 		dp[i] = inf
 	}
 	dp[0] = 0
-	choice := make([][]int16, p)
+	choice := make([][]int, p)
 	for j := 0; j < p; j++ {
-		ndp := make([]int64, k+1)
 		for i := range ndp {
 			ndp[i] = inf
 		}
-		choice[j] = make([]int16, k+1)
+		choice[j] = make([]int, u+1)
 		minS := 0
 		if active[j] {
 			minS = 1
 		}
-		for used := 0; used <= k; used++ {
+		for used := 0; used <= u; used++ {
 			if dp[used] >= inf {
 				continue
 			}
-			for s := minS; used+s <= k; s++ {
+			for s := minS; s <= flat[j] && used+s <= u; s++ {
 				v := dp[used] + at(j, s)
 				if v < ndp[used+s] {
 					ndp[used+s] = v
-					choice[j][used+s] = int16(s)
+					choice[j][used+s] = s
 				}
 			}
 		}
-		dp = ndp
+		dp, ndp = ndp, dp
 	}
-	// Best over any total ≤ K (extra cells never hurt but curves are
-	// non-increasing, so the optimum uses them; still, scan all).
+	// Best over any total ≤ K; the first of equal fault counts has the
+	// fewest cells.
 	bestK, best := -1, inf
-	for used := 0; used <= k; used++ {
+	for used := 0; used <= u; used++ {
 		if dp[used] < best {
 			best, bestK = dp[used], used
 		}
@@ -234,7 +259,7 @@ func Optimal(curves [][]int64, k int, active []bool) (Partition, error) {
 	}
 	sizes := make([]int, p)
 	for j := p - 1; j >= 0; j-- {
-		s := int(choice[j][bestK])
+		s := choice[j][bestK]
 		sizes[j] = s
 		bestK -= s
 	}
@@ -256,7 +281,7 @@ func ActiveMask(r core.RequestSet) []bool {
 func OptimalLRU(r core.RequestSet, k int) (Partition, error) {
 	curves := make([][]int64, len(r))
 	for j, s := range r {
-		curves[j] = LRUCurve(s, k)
+		curves[j] = LRUCurve(s, flatPoint(s, k))
 	}
 	return Optimal(curves, k, ActiveMask(r))
 }
@@ -267,7 +292,22 @@ func OptimalLRU(r core.RequestSet, k int) (Partition, error) {
 func OptimalOPT(r core.RequestSet, k int) (Partition, error) {
 	curves := make([][]int64, len(r))
 	for j, s := range r {
-		curves[j] = OPTCurve(s, k)
+		curves[j] = OPTCurve(s, flatPoint(s, k))
 	}
 	return Optimal(curves, k, ActiveMask(r))
+}
+
+// flatPoint returns min(k, the distinct pages of s). A cache that holds
+// every distinct page misses only on first references, under LRU and
+// under Belady alike, so s's miss curves are flat past that size and
+// Optimal reads a curve cut there as it reads the whole one.
+func flatPoint(s core.Sequence, k int) int {
+	seen := make(map[core.PageID]struct{})
+	for _, p := range s {
+		if len(seen) >= k {
+			break
+		}
+		seen[p] = struct{}{}
+	}
+	return min(len(seen), k)
 }

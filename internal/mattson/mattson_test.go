@@ -1,7 +1,10 @@
 package mattson_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -237,6 +240,191 @@ func TestOptimalMatchesExhaustive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceOptimal is Optimal before its search was bounded by the
+// curves' flat points: every total up to K, and every size up to K for
+// each core, with sizes kept in int16, which wraps past 32 767 cells.
+func referenceOptimal(curves [][]int64, k int, active []bool) (mattson.Partition, error) {
+	p := len(curves)
+	if p == 0 {
+		return mattson.Partition{}, fmt.Errorf("mattson: no cores")
+	}
+	if len(active) != p {
+		return mattson.Partition{}, fmt.Errorf("mattson: active mask has %d entries for %d cores", len(active), p)
+	}
+	at := func(j, s int) int64 {
+		c := curves[j]
+		if s >= len(c) {
+			s = len(c) - 1
+		}
+		return c[s]
+	}
+	const inf = int64(math.MaxInt64) / 4
+	dp := make([]int64, k+1)
+	for i := range dp {
+		dp[i] = inf
+	}
+	dp[0] = 0
+	choice := make([][]int16, p)
+	for j := 0; j < p; j++ {
+		ndp := make([]int64, k+1)
+		for i := range ndp {
+			ndp[i] = inf
+		}
+		choice[j] = make([]int16, k+1)
+		minS := 0
+		if active[j] {
+			minS = 1
+		}
+		for used := 0; used <= k; used++ {
+			if dp[used] >= inf {
+				continue
+			}
+			for s := minS; used+s <= k; s++ {
+				v := dp[used] + at(j, s)
+				if v < ndp[used+s] {
+					ndp[used+s] = v
+					choice[j][used+s] = int16(s)
+				}
+			}
+		}
+		dp = ndp
+	}
+	bestK, best := -1, inf
+	for used := 0; used <= k; used++ {
+		if dp[used] < best {
+			best, bestK = dp[used], used
+		}
+	}
+	if bestK < 0 {
+		return mattson.Partition{}, fmt.Errorf("mattson: no feasible partition of K=%d over %d cores", k, p)
+	}
+	sizes := make([]int, p)
+	for j := p - 1; j >= 0; j-- {
+		s := int(choice[j][bestK])
+		sizes[j] = s
+		bestK -= s
+	}
+	return mattson.Partition{Sizes: sizes, Faults: best}, nil
+}
+
+// randCurve returns a curve of 1 to 12 points, mostly falling, with
+// plateaus, a flat tail at times and, now and then, a rise.
+func randCurve(rng *rand.Rand) []int64 {
+	c := make([]int64, 1+rng.Intn(12))
+	v := int64(rng.Intn(40))
+	for i := range c {
+		c[i] = v
+		switch rng.Intn(4) {
+		case 0, 1:
+			v = max(0, v-int64(rng.Intn(6)))
+		case 2:
+			if rng.Intn(3) == 0 {
+				v += int64(rng.Intn(3))
+			}
+		}
+	}
+	return c
+}
+
+// TestOptimalMatchesUnboundedReference: on random small instances, K
+// below and above the curves' lengths, infeasible ones included, the
+// bounded search returns the reference's partition, ties broken alike.
+func TestOptimalMatchesUnboundedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 4000; trial++ {
+		p := 1 + rng.Intn(4)
+		curves := make([][]int64, p)
+		active := make([]bool, p)
+		for j := range curves {
+			curves[j] = randCurve(rng)
+			active[j] = rng.Intn(4) != 0
+		}
+		k := rng.Intn(40)
+		want, werr := referenceOptimal(curves, k, active)
+		got, gerr := mattson.Optimal(curves, k, active)
+		if (werr != nil) != (gerr != nil) || (werr != nil && werr.Error() != gerr.Error()) {
+			t.Fatalf("trial %d %v K=%d active=%v: error %v, reference %v", trial, curves, k, active, gerr, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d %v K=%d active=%v: %+v, reference %+v", trial, curves, k, active, got, want)
+		}
+	}
+}
+
+// TestOptimalFromCurvesCutAtDistinctPages: OptimalLRU and OptimalOPT
+// cut each core's curve at its distinct-page count and return the
+// partition the reference finds over the whole curves to K.
+func TestOptimalFromCurvesCutAtDistinctPages(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 200; trial++ {
+		rs := make(core.RequestSet, 1+rng.Intn(3))
+		for j := range rs {
+			rs[j] = randSeq(rng, rng.Intn(25), 1+rng.Intn(8))
+		}
+		k := len(rs) + rng.Intn(20)
+		for _, c := range []struct {
+			name    string
+			curve   func(core.Sequence, int) []int64
+			optimal func(core.RequestSet, int) (mattson.Partition, error)
+		}{
+			{"LRU", mattson.LRUCurve, mattson.OptimalLRU},
+			{"OPT", mattson.OPTCurve, mattson.OptimalOPT},
+		} {
+			curves := make([][]int64, len(rs))
+			for j, seq := range rs {
+				curves[j] = c.curve(seq, k)
+			}
+			want, werr := referenceOptimal(curves, k, mattson.ActiveMask(rs))
+			got, gerr := c.optimal(rs, k)
+			if werr != nil || gerr != nil {
+				t.Fatalf("trial %d %s: %v, reference %v", trial, c.name, gerr, werr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d %s %v K=%d: %+v, reference %+v", trial, c.name, rs, k, got, want)
+			}
+		}
+	}
+}
+
+// TestOptimalSizesPastInt16: a part above 32 767 cells. Sizes were kept
+// in int16, so this partition came back as [-25536 1] with no error.
+func TestOptimalSizesPastInt16(t *testing.T) {
+	const flatFrom = 40000
+	big := make([]int64, flatFrom+2)
+	for s := range big {
+		big[s] = int64(max(flatFrom-s, 0))
+	}
+	part, err := mattson.Optimal([][]int64{big, {2, 1}}, flatFrom+1, []bool{true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{flatFrom, 1}; !reflect.DeepEqual(part.Sizes, want) || part.Faults != 1 {
+		t.Fatalf("partition %+v, want sizes %v with 1 fault", part, want)
+	}
+}
+
+// TestOptimalWorkFollowsTheTrace: over a 2-core, 11-request trace the
+// search's work and memory follow the trace's distinct pages, so K of
+// 2^23 (mcservd's default request ceiling) gives K 2 000's partition
+// at once. The search to K took O(p·K²) time and O(p·K) memory.
+func TestOptimalWorkFollowsTheTrace(t *testing.T) {
+	rs := core.RequestSet{{1, 2, 3, 1, 2, 4}, {10, 11, 10, 12, 11}}
+	for _, optimal := range []func(core.RequestSet, int) (mattson.Partition, error){mattson.OptimalLRU, mattson.OptimalOPT} {
+		small, err := optimal(rs, 2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		huge, err := optimal(rs, 1<<23)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 7 faults: the trace's distinct pages, each missed once.
+		if !reflect.DeepEqual(small, huge) || small.Faults != 7 {
+			t.Fatalf("K 2000: %+v; K 2^23: %+v; want the same partition, with 7 faults", small, huge)
+		}
 	}
 }
 

@@ -279,7 +279,7 @@ type refUCP struct {
 
 	k      int
 	q      refParts
-	mons   []*umon
+	mons   []*refUmon
 	nextAt int64
 	active []bool
 }
@@ -294,9 +294,9 @@ func (u *refUCP) Init(inst core.Instance) error {
 		u.active[j] = len(inst.R[j]) > 0
 	}
 	u.q.init(p, u.k, u.active)
-	u.mons = make([]*umon, p)
+	u.mons = make([]*refUmon, p)
 	for j := range u.mons {
-		u.mons[j] = newUmon(u.k)
+		u.mons[j] = newRefUmon(u.k)
 	}
 	u.nextAt = u.Window
 	if u.Decay < 2 {

@@ -30,21 +30,22 @@ type ucpController struct {
 	alloc  []int // repartition's scratch
 }
 
-// umon is a per-core utility monitor: a shadow LRU stack of up to k
-// pages with hit counters per stack depth.
+// umon is a per-core utility monitor: a shadow LRU stack of up to depth
+// pages with hit counters per stack depth. No request hits below the
+// stack, so the counters grow with it, and the stack holds at most the
+// core's distinct pages: a monitor's size and its decay follow the
+// pages the core touches, not K.
 type umon struct {
+	depth int
 	stack []core.PageID
-	hits  []int64 // hits[d] = hits at depth d (0-based), needing d+1 cells
+	hits  []int64 // hits[d] = hits at depth d (0-based), needing d+1 cells; len(hits) = len(stack)
 }
 
-func newUmon(k int) *umon {
-	return &umon{stack: make([]core.PageID, 0, k), hits: make([]int64, k)}
-}
-
-// reset empties the monitor, keeping its depth.
-func (m *umon) reset() {
+// reset empties the monitor and sets its depth.
+func (m *umon) reset(depth int) {
+	m.depth = depth
 	m.stack = m.stack[:0]
-	clear(m.hits)
+	m.hits = m.hits[:0]
 }
 
 // access records one request in the shadow stack.
@@ -57,8 +58,9 @@ func (m *umon) access(p core.PageID) {
 			return
 		}
 	}
-	if len(m.stack) < cap(m.stack) {
+	if len(m.stack) < m.depth {
 		m.stack = append(m.stack, 0)
+		m.hits = append(m.hits, 0)
 	}
 	copy(m.stack[1:], m.stack[:len(m.stack)-1])
 	m.stack[0] = p
@@ -107,12 +109,11 @@ func (c *ucpController) Init(inst core.Instance) error {
 		c.mons = make([]*umon, p)
 	}
 	for j, m := range c.mons {
-		// A monitor is k deep: its stack grows to its capacity.
-		if m != nil && cap(m.stack) == c.k {
-			m.reset()
-		} else {
-			c.mons[j] = newUmon(c.k)
+		if m == nil {
+			m = &umon{}
+			c.mons[j] = m
 		}
+		m.reset(c.k)
 	}
 	c.nextAt = c.window
 	return nil
@@ -141,7 +142,12 @@ func (c *ucpController) Donor(j int, _ PartView, _ func(core.PageID) bool) (int,
 // StealOnEmpty implements Controller.
 func (c *ucpController) StealOnEmpty() bool { return true }
 
-// repartition reassigns the K cells greedily by marginal utility.
+// repartition reassigns the K cells greedily by marginal utility, ties
+// to the lowest core index. Once every active core's next cell would
+// gain nothing, the lowest-index active core takes each remaining cell
+// in turn: any gain it finds deeper only widens its lead, and no other
+// core's gain moves. So it takes them all at once, and the cells handed
+// out one by one are at most the monitors' live depths.
 func (c *ucpController) repartition() {
 	p := len(c.quota)
 	c.alloc = reuse(c.alloc, p)
@@ -168,6 +174,10 @@ func (c *ucpController) repartition() {
 			}
 		}
 		if best == -1 {
+			break
+		}
+		if bestGain == 0 {
+			alloc[best] += remaining
 			break
 		}
 		alloc[best]++

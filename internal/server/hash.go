@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"io"
+	"math/bits"
 	"strings"
 
 	"mcpaging/internal/core"
@@ -48,9 +49,11 @@ func JobKey(rs core.RequestSet, spec string, p core.Params, seed int64) string {
 // encoding instead of re-encoding the set varint by varint.
 type Keyer struct{ enc []byte }
 
-// NewKeyer encodes rs for Key.
+// NewKeyer encodes rs for Key, into a buffer grown once to the
+// encoding's size.
 func NewKeyer(rs core.RequestSet) Keyer {
 	var b bytes.Buffer
+	b.Grow(requestsLen(rs))
 	e := keyEncoder{w: &b}
 	e.requests(rs)
 	e.flush()
@@ -102,7 +105,12 @@ const maxPageVarint = 5
 // requests encodes the request set: the core count, then each core's
 // length and pages. Pages go in batches of as many as fit the buffer at
 // maxPageVarint bytes each, each written as the zigzag varint
-// binary.PutVarint gives its int64 value.
+// binary.PutVarint gives its int64 value. A varint of 1 to 3 bytes (a
+// page below 2^20, as a generated set's private pages are on its first
+// 16 cores) takes one store: a 3-byte one
+// stores 4 bytes, whose last the next varint overwrites or flush leaves
+// out, and which stays inside the page's maxPageVarint bytes. Longer
+// varints go a byte at a time.
 func (e *keyEncoder) requests(rs core.RequestSet) {
 	e.uvarint(uint64(len(rs)))
 	for _, seq := range rs {
@@ -116,18 +124,45 @@ func (e *keyEncoder) requests(rs core.RequestSet) {
 			b, n := e.buf[:], e.n
 			for _, pg := range batch {
 				v := uint32(pg)<<1 ^ uint32(pg>>31)
-				for v >= 0x80 {
-					b[n] = byte(v) | 0x80
-					v >>= 7
+				switch {
+				case v < 1<<7:
+					b[n] = byte(v)
+					n++
+				case v < 1<<14:
+					binary.LittleEndian.PutUint16(b[n:], uint16(v&0x7f|0x80|v<<1&0x7f00))
+					n += 2
+				case v < 1<<21:
+					binary.LittleEndian.PutUint32(b[n:], v&0x7f|0x80|v<<1&0x7f00|0x8000|v<<2&0x7f0000)
+					n += 3
+				default:
+					for v >= 0x80 {
+						b[n] = byte(v) | 0x80
+						v >>= 7
+						n++
+					}
+					b[n] = byte(v)
 					n++
 				}
-				b[n] = byte(v)
-				n++
 			}
 			e.n = n
 		}
 	}
 }
+
+// requestsLen returns the length of requests' encoding of rs.
+func requestsLen(rs core.RequestSet) int {
+	n := uvarintLen(uint64(len(rs)))
+	for _, seq := range rs {
+		n += uvarintLen(uint64(len(seq)))
+		for _, pg := range seq {
+			n += uvarintLen(uint64(uint32(pg)<<1 ^ uint32(pg>>31)))
+		}
+	}
+	return n
+}
+
+// uvarintLen returns the length of v's uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 func (e *keyEncoder) uvarint(v uint64) {
 	if len(e.buf)-e.n < binary.MaxVarintLen64 {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -197,4 +198,52 @@ func TestJobKeyGoldenV3(t *testing.T) {
 			t.Errorf("Keyer.Key(%s) = %s, want %s", c.spec, got, c.want)
 		}
 	}
+}
+
+// FuzzJobKeyEncoding holds keyEncoder.requests, which writes most page
+// varints with one store each, to a reference built from
+// binary.AppendUvarint and binary.AppendVarint, byte for byte. pad bytes
+// written first move the batches' start across the encoder's buffer.
+// raw is read as little-endian int32 pages, dealt to cores in turn; the
+// seeds hold every varint length and negative pages. NewKeyer must hold
+// the same bytes, and requestsLen, which sizes its buffer, must give
+// their length.
+func FuzzJobKeyEncoding(f *testing.F) {
+	var edges []byte
+	for _, pg := range []int32{0, 63, 64, 8191, 8192, 1 << 20, 1<<31 - 1, -1, -64, -65, -8192, -8193, -1 << 20, -1 << 31} {
+		edges = binary.LittleEndian.AppendUint32(edges, uint32(pg))
+	}
+	f.Add(uint8(0), uint16(0), edges)
+	f.Add(uint8(2), uint16(511), edges)
+	f.Add(uint8(3), uint16(7), bytes.Repeat(edges, 40))
+	f.Add(uint8(5), uint16(0), []byte{})
+	f.Fuzz(func(t *testing.T, cores uint8, pad uint16, raw []byte) {
+		rs := make(core.RequestSet, int(cores)%8+1)
+		for i := 0; i+4 <= min(len(raw), 1<<13); i += 4 {
+			c := i / 4 % len(rs)
+			rs[c] = append(rs[c], core.PageID(int32(binary.LittleEndian.Uint32(raw[i:]))))
+		}
+		prefix := make([]byte, int(pad)%1024)
+		want := binary.AppendUvarint(append([]byte(nil), prefix...), uint64(len(rs)))
+		for _, seq := range rs {
+			want = binary.AppendUvarint(want, uint64(len(seq)))
+			for _, pg := range seq {
+				want = binary.AppendVarint(want, int64(pg))
+			}
+		}
+		var got bytes.Buffer
+		e := keyEncoder{w: &got}
+		e.raw(prefix)
+		e.requests(rs)
+		e.flush()
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("pad %d, %v: encoded\n%x\nwant\n%x", len(prefix), rs, got.Bytes(), want)
+		}
+		if n := requestsLen(rs); n != len(want)-len(prefix) {
+			t.Fatalf("%v: requestsLen %d, encoding %d bytes", rs, n, len(want)-len(prefix))
+		}
+		if k := NewKeyer(rs); !bytes.Equal(k.enc, want[len(prefix):]) {
+			t.Fatalf("%v: NewKeyer holds\n%x\nwant\n%x", rs, k.enc, want[len(prefix):])
+		}
+	})
 }

@@ -128,8 +128,7 @@ func Generate(s Spec) (core.RequestSet, error) {
 		sharedPages = s.Pages
 	}
 	for j := 0; j < s.Cores; j++ {
-		base := core.PageID(j * privateStride)
-		local, err := s.generateCore(rng, z)
+		local, err := s.generateCore(rng, z, core.PageID(j*privateStride))
 		if err != nil {
 			return nil, err
 		}
@@ -137,13 +136,7 @@ func Generate(s Spec) (core.RequestSet, error) {
 			for i := range local {
 				if rng.Float64() < s.SharedFrac {
 					local[i] = core.PageID(sharedBase + rng.Intn(sharedPages))
-					continue
 				}
-				local[i] += base
-			}
-		} else {
-			for i := range local {
-				local[i] += base
 			}
 		}
 		rs[j] = local
@@ -165,17 +158,22 @@ func (s Spec) zipf(rng *rand.Rand) (*zipfSampler, error) {
 	return newZipfSampler(rng, zs, zv, uint64(s.Pages-1), s.Cores*s.Length/32)
 }
 
-// generateCore produces one core's sequence over pages 0..Pages-1; z is
-// the Zipf sampler for a Zipf spec.
-func (s Spec) generateCore(rng *rand.Rand, z *zipfSampler) (core.Sequence, error) {
+// generateCore produces one core's sequence over pages base … base +
+// Pages − 1; z is the Zipf sampler for a Zipf spec.
+func (s Spec) generateCore(rng *rand.Rand, z *zipfSampler, base core.PageID) (core.Sequence, error) {
 	seq := make(core.Sequence, s.Length)
 	switch s.Kind {
 	case Uniform:
 		for i := range seq {
-			seq[i] = core.PageID(rng.Intn(s.Pages))
+			seq[i] = base + core.PageID(rng.Intn(s.Pages))
 		}
 	case Zipf:
-		perm := rng.Perm(s.Pages) // decouple popularity rank from page ID
+		// The permutation decouples popularity rank from page ID; base
+		// is added to it once rather than to every request.
+		perm := rng.Perm(s.Pages)
+		for k := range perm {
+			perm[k] += int(base)
+		}
 		for i := range seq {
 			k, ok := z.next()
 			if !ok {
@@ -186,7 +184,7 @@ func (s Spec) generateCore(rng *rand.Rand, z *zipfSampler) (core.Sequence, error
 	case Loop:
 		off := rng.Intn(s.Pages)
 		for i := range seq {
-			seq[i] = core.PageID((off + i) % s.Pages)
+			seq[i] = base + core.PageID((off+i)%s.Pages)
 		}
 	case Phased:
 		ws := s.WorkingSet
@@ -203,7 +201,7 @@ func (s Spec) generateCore(rng *rand.Rand, z *zipfSampler) (core.Sequence, error
 		for i := 0; i < s.Length; {
 			set := rng.Perm(s.Pages)[:ws]
 			for k := 0; k < perPhase && i < s.Length; k++ {
-				seq[i] = core.PageID(set[rng.Intn(ws)])
+				seq[i] = base + core.PageID(set[rng.Intn(ws)])
 				i++
 			}
 		}
@@ -214,7 +212,7 @@ func (s Spec) generateCore(rng *rand.Rand, z *zipfSampler) (core.Sequence, error
 		}
 		cur := rng.Intn(s.Pages)
 		for i := range seq {
-			seq[i] = core.PageID(cur)
+			seq[i] = base + core.PageID(cur)
 			if rng.Float64() < jump {
 				cur = rng.Intn(s.Pages)
 			} else if rng.Intn(2) == 0 {

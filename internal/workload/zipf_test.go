@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -97,8 +98,9 @@ func TestZipfSamplerMatchesRand(t *testing.T) {
 	}
 }
 
-// TestZipfTableEdges checks both ends of every tabulated interval: the
-// label there must be the decision rand.Zipf's arithmetic takes.
+// TestZipfTableEdges checks both ends of every tabulated interval and
+// of every guide bucket marked with a rank: the label there must be the
+// decision rand.Zipf's arithmetic takes.
 func TestZipfTableEdges(t *testing.T) {
 	for _, imax := range []uint64{0, 1, 63, 511, 65534} {
 		for _, q := range []float64{1.01, 1.2, 1.3, 2.5, 50, 64} {
@@ -135,9 +137,111 @@ func TestZipfTableEdges(t *testing.T) {
 				if labeled == 0 {
 					t.Fatalf("s=%v v=%v imax=%d: no labeled interval", q, v, imax)
 				}
+				checkMarkedBuckets(t, z)
 			}
 		}
 	}
+}
+
+// checkMarkedBuckets checks both ends of every guide bucket marked with
+// a rank: the bucket must lie inside that rank's accept interval, and
+// rand.Zipf's arithmetic must accept the rank there.
+func checkMarkedBuckets(t *testing.T, z *zipfSampler) {
+	t.Helper()
+	for b, g := range z.guide {
+		if g&zipfMarked == 0 {
+			continue
+		}
+		k := int(g &^ zipfMarked)
+		if k < 0 || k > z.top {
+			t.Fatalf("s=%v v=%v imax=%v bucket %d: marked with rank %d outside the prefix 0…%d", z.q, z.v, z.imax, b, k, z.top)
+		}
+		i := 4*(z.top-k) + 1 // rank k's accept interval
+		lo, hi := float64(b)/z.gscale, float64(b+1)/z.gscale
+		if lo < z.edge[i] || hi > z.edge[i+1] {
+			t.Fatalf("s=%v v=%v imax=%v bucket %d [%v, %v): marked rank %d, whose accept interval is [%v, %v)",
+				z.q, z.v, z.imax, b, lo, hi, k, z.edge[i], z.edge[i+1])
+		}
+		for _, r := range []float64{lo, math.Nextafter(hi, 0)} {
+			if wk, accept := z.exact(r); wk != float64(k) || !accept {
+				t.Fatalf("s=%v v=%v imax=%v bucket %d at r=%v: marked rank %d, rand.Zipf's arithmetic %v accept=%v",
+					z.q, z.v, z.imax, b, r, k, wk, accept)
+			}
+		}
+	}
+}
+
+// TestZipfTableMemo: Generate of shape A, then B, then A again, through
+// the kept table, draws what three calls that each build their own
+// table draw, and a call of the kept shape builds nothing.
+func TestZipfTableMemo(t *testing.T) {
+	a := Spec{Cores: 3, Length: 4000, Pages: 300, Kind: Zipf, Seed: 1}
+	b := a
+	b.ZipfS, b.Seed = 1.4, 2
+	gen := func(s Spec) string {
+		t.Helper()
+		rs, err := Generate(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digest(rs)
+	}
+	order := []Spec{a, b, a}
+	fresh := make([]string, len(order))
+	for i, s := range order {
+		zipfLast.Store(nil)
+		fresh[i] = gen(s)
+	}
+	zipfLast.Store(nil)
+	for i, s := range order {
+		if got := gen(s); got != fresh[i] {
+			t.Fatalf("call %d (s=%v): through the kept table %s, fresh %s", i, s.ZipfS, got, fresh[i])
+		}
+	}
+	kept := zipfLast.Load()
+	a.Seed = 9
+	gen(a)
+	if zipfLast.Load() != kept {
+		t.Fatal("a call of the kept shape built a new table")
+	}
+}
+
+// TestZipfTableConcurrent generates two shapes from several goroutines
+// at once, so calls replace and read the kept table concurrently; each
+// must match its serial output. Run it under -race.
+func TestZipfTableConcurrent(t *testing.T) {
+	specs := []Spec{
+		{Cores: 2, Length: 3000, Pages: 512, Kind: Zipf, Seed: 3},
+		{Cores: 2, Length: 3000, Pages: 200, Kind: Zipf, ZipfS: 1.3, Seed: 4},
+	}
+	want := make([]string, len(specs))
+	for i, s := range specs {
+		rs, err := Generate(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = digest(rs)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				c := (g + i) % len(specs)
+				rs, err := Generate(specs[c])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := digest(rs); got != want[c] {
+					t.Errorf("goroutine %d call %d: shape %d drew %s, serially %s", g, i, c, got, want[c])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestGenerateRejectsUnusableZipf: the first four specs made Generate
@@ -164,7 +268,8 @@ func TestGenerateRejectsUnusableZipf(t *testing.T) {
 }
 
 // FuzzZipfMatchesRand compares the sampler with rand.NewZipf on fuzzed
-// parameters on both sides of the well-conditioned region's boundary.
+// parameters on both sides of the well-conditioned region's boundary,
+// twice per shape: once building the table, once through the kept one.
 func FuzzZipfMatchesRand(f *testing.F) {
 	f.Add(1.2, 1.0, uint16(511), int64(1))
 	f.Add(1.01, 1024.0, uint16(65534), int64(2))
@@ -179,6 +284,14 @@ func FuzzZipfMatchesRand(f *testing.F) {
 		if !(q > 1 && q <= 100 && v >= 1 && v <= 1e6) {
 			t.Skip()
 		}
+		// The first draw builds the shape's table; the second runs
+		// through the table the first kept.
+		zipfLast.Store(nil)
 		matchRand(t, q, v, uint64(min(imax, 65534)), zipfMaxRanks, seed, 2000)
+		kept := zipfLast.Load()
+		matchRand(t, q, v, uint64(min(imax, 65534)), zipfMaxRanks, seed+1, 2000)
+		if kept != nil && zipfLast.Load() != kept {
+			t.Fatalf("s=%v v=%v imax=%d: the second sampler built its own table", q, v, imax)
+		}
 	})
 }
