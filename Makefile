@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint bench bench-baseline benchstat soak experiments results cover cover-gate smoke serve fleet verify verify-quick verify-baseline clean
+.PHONY: all build test test-short vet fmt lint fuzz bench bench-baseline benchstat soak experiments results cover cover-gate smoke serve fleet verify verify-quick verify-baseline clean
 
 # Benchmarks the comparison targets track: the simulator serve paths,
 # the batch harness, the mcservd service path (jobs, sweeps, JobKey),
@@ -39,6 +39,28 @@ lint:
 	$(GO) run ./cmd/mcvet ./...
 	$(GO) vet ./...
 	@test -z "$$(gofmt -l .)" || (gofmt -l . && echo "gofmt needed" && exit 1)
+
+# Every fuzz target, 10 s each (CI runs this). -run '^$$' skips the
+# package's unit tests, and a 1 s minimize budget leaves the time to
+# fuzzing (the default budget is 60 s per new input).
+FUZZ_TARGETS = \
+	FuzzBuild:./internal/strategyspec \
+	FuzzParseSchedule:./internal/capacity \
+	FuzzRingRebalance:./internal/fleet \
+	FuzzDenseMatchesReference:./internal/sim \
+	FuzzRenameMatchesSort:./internal/sim \
+	FuzzZipfMatchesRand:./internal/workload \
+	FuzzDecoderMatchesReference:./internal/trace \
+	FuzzReadAuto:./internal/trace \
+	FuzzDecodeRequest:./internal/server \
+	FuzzJobRequest:./internal/server \
+	FuzzJobKeyEncoding:./internal/server
+
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "== $${t%%:*} ($${t#*:})"; \
+		$(GO) test -run '^$$' -fuzz="^$${t%%:*}\$$" -fuzztime=10s -fuzzminimizetime=1s "$${t#*:}"; \
+	done
 
 bench:
 	$(GO) test -run XXX -bench . -benchmem .

@@ -13,7 +13,7 @@
 //	POST /v1/jobs     run one simulation job (JSON in, JSON out)
 //	POST /v1/sweep    fan a K×τ×capacity×strategy grid across the pool (JSONL out)
 //	GET  /strategies  list every buildable strategy spec
-//	GET  /metrics     Prometheus text: server counters + last-run telemetry
+//	GET  /metrics     Prometheus text: the service's own counters and gauges
 //	GET  /healthz     liveness
 //	GET  /readyz      readiness (503 while draining)
 //

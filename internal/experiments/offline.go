@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"mcpaging/internal/core"
 	"mcpaging/internal/metrics"
@@ -169,8 +170,6 @@ func runE10(cfg Config) (*Result, error) {
 	// Scaling in n with p=2, K=3, τ=1 fixed. The sequences are nested
 	// prefixes of one random pair, so the state counts are comparable
 	// across rows.
-	stbl := metrics.NewTable("Algorithm 1 state count vs n (p=2, K=3, τ=1)",
-		"n_per_core", "states", "min_faults")
 	ns := []int{2, 3, 4, 5, 6}
 	if cfg.Quick {
 		ns = []int{2, 3, 4}
@@ -181,46 +180,60 @@ func runE10(cfg Config) (*Result, error) {
 			full[j][i] = core.PageID(10*j + rng.Intn(3))
 		}
 	}
-	for _, n := range ns {
-		rs := core.RequestSet{full[0][:n], full[1][:n]}
-		in := core.Instance{R: rs, P: core.Params{K: 3, Tau: 1}}
-		sol, err := offline.SolveFTF(in, offline.Options{})
-		if err != nil {
-			return nil, err
+	var trends []string
+	for _, sc := range []struct {
+		title, header, param string
+		xs                   []int
+		inst                 func(x int) core.Instance
+	}{
+		{"Algorithm 1 state count vs n (p=2, K=3, τ=1)", "n_per_core", "n", ns, func(n int) core.Instance {
+			return core.Instance{R: core.RequestSet{full[0][:n], full[1][:n]}, P: core.Params{K: 3, Tau: 1}}
+		}},
+		{"Algorithm 1 state count vs τ (p=2, K=3, n=4)", "tau", "τ", []int{0, 1, 2, 3}, func(tau int) core.Instance {
+			return core.Instance{R: core.RequestSet{{0, 1, 2, 0}, {10, 11, 10, 11}}, P: core.Params{K: 3, Tau: tau}}
+		}},
+		// Every page is requested once, so only the choice of which
+		// cached page to evict varies with K.
+		{"Algorithm 1 state count vs K (p=2, n=4, τ=1, w=8 pages)", "K", "K", []int{2, 3, 4, 5, 6}, func(k int) core.Instance {
+			return core.Instance{R: core.RequestSet{{0, 1, 2, 3}, {10, 11, 12, 13}}, P: core.Params{K: k, Tau: 1}}
+		}},
+	} {
+		tbl := metrics.NewTable(sc.title, sc.header, "states", "min_faults")
+		counts := make([]int, len(sc.xs))
+		for i, x := range sc.xs {
+			sol, err := offline.SolveFTF(sc.inst(x), offline.Options{})
+			if err != nil {
+				return nil, err
+			}
+			counts[i] = sol.States
+			tbl.AddRow(x, sol.States, sol.Faults)
 		}
-		stbl.AddRow(n, sol.States, sol.Faults)
+		res.Tables = append(res.Tables, tbl)
+		trends = append(trends, trendNote(sc.param, sc.xs, counts))
 	}
-	res.Tables = append(res.Tables, stbl)
-
-	// Scaling in τ.
-	ttbl := metrics.NewTable("Algorithm 1 state count vs τ (p=2, K=3, n=4)",
-		"tau", "states", "min_faults")
-	for _, tau := range []int{0, 1, 2, 3} {
-		rs := core.RequestSet{{0, 1, 2, 0}, {10, 11, 10, 11}}
-		in := core.Instance{R: rs, P: core.Params{K: 3, Tau: tau}}
-		sol, err := offline.SolveFTF(in, offline.Options{})
-		if err != nil {
-			return nil, err
-		}
-		ttbl.AddRow(tau, sol.States, sol.Faults)
-	}
-	res.Tables = append(res.Tables, ttbl)
-
-	// Scaling in K (the configuration space dominates: Σ C(w, ≤K)).
-	ktbl := metrics.NewTable("Algorithm 1 state count vs K (p=2, n=4, τ=1, w=8 pages)",
-		"K", "states", "min_faults")
-	krs := core.RequestSet{{0, 1, 2, 3}, {10, 11, 12, 13}}
-	for _, k := range []int{2, 3, 4, 5, 6} {
-		in := core.Instance{R: krs, P: core.Params{K: k, Tau: 1}}
-		sol, err := offline.SolveFTF(in, offline.Options{})
-		if err != nil {
-			return nil, err
-		}
-		ktbl.AddRow(k, sol.States, sol.Faults)
-	}
-	res.Tables = append(res.Tables, ktbl)
-	res.Notes = append(res.Notes, "state count grows polynomially in n and (τ+1), exponentially only in p and K")
+	res.Notes = append(res.Notes, "state count "+strings.Join(trends, "; "))
 	return res, nil
+}
+
+// trendNote says how the state counts of one E10 table move as the
+// swept parameter takes the values xs: a rise, a rise to a peak and a
+// fall after it, or the counts themselves when neither fits.
+func trendNote(param string, xs, counts []int) string {
+	top, last := 0, len(counts)-1
+	for i, c := range counts {
+		if c > counts[top] {
+			top = i
+		}
+	}
+	for i := 1; i <= last; i++ {
+		if i <= top && counts[i] <= counts[i-1] || i > top && counts[i] >= counts[i-1] {
+			return fmt.Sprintf("moves with %s without one trend (%s = %v: %v)", param, param, xs, counts)
+		}
+	}
+	if top == last {
+		return fmt.Sprintf("rises with %s (%d → %d for %s = %d…%d)", param, counts[0], counts[last], param, xs[0], xs[last])
+	}
+	return fmt.Sprintf("rises with %s to %d at %s = %d, then falls to %d at %s = %d", param, counts[top], param, xs[top], counts[last], param, xs[last])
 }
 
 // runE11 — Theorem 7 / Algorithm 2: the PIF dynamic program matches

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"mcpaging/internal/adversary"
 	"mcpaging/internal/core"
@@ -376,8 +377,10 @@ func runE7(cfg Config) (*Result, error) {
 		Title: "Shared LRU loses Ω(p(τ+1)) to offline",
 		Claim: "Lemma 4: ∃R: S_LRU/S_OPT = Ω(p(τ+1))",
 	}
-	for _, p := range []int{2, 4} {
-		for _, tau := range []int{0, 1, 3, 7} {
+	ps, taus := []int{2, 4}, []int{0, 1, 3, 7}
+	ratios := make([][]float64, len(ps))
+	for pi, p := range ps {
+		for _, tau := range taus {
 			k := p * p // tall cache: K = p²
 			rs, err := adversary.Lemma4(p, k, perCore)
 			if err != nil {
@@ -393,12 +396,39 @@ func runE7(cfg Config) (*Result, error) {
 				return nil, err
 			}
 			ratio := stats.Ratio(lruRes.TotalFaults(), soff.TotalFaults())
+			ratios[pi] = append(ratios[pi], ratio)
 			tbl.AddRow(p, tau, lruRes.TotalFaults(), soff.TotalFaults(), ratio, p*(tau+1))
 		}
 	}
 	res.Tables = append(res.Tables, tbl)
-	res.Notes = append(res.Notes, "ratio grows with both p and τ, tracking p(τ+1) as n→∞")
+	res.Notes = append(res.Notes, lemma4Note(ps, taus, ratios))
 	return res, nil
+}
+
+// lemma4Note reads E7's table, where ratios[i][j] is the ratio at
+// ps[i] and taus[j]. The ratio tracks p(τ+1) when it rises with τ at
+// each p, rises with p at each τ, and stays at least half the bound;
+// otherwise the note is a VIOLATION naming every failed check.
+func lemma4Note(ps, taus []int, ratios [][]float64) string {
+	var bad []string
+	for i, p := range ps {
+		for j, tau := range taus {
+			r := ratios[i][j]
+			if j > 0 && r <= ratios[i][j-1] {
+				bad = append(bad, fmt.Sprintf("at p=%d the ratio does not rise from τ=%d to τ=%d (%.4g → %.4g)", p, taus[j-1], tau, ratios[i][j-1], r))
+			}
+			if i > 0 && r <= ratios[i-1][j] {
+				bad = append(bad, fmt.Sprintf("at τ=%d the ratio does not rise from p=%d to p=%d (%.4g → %.4g)", tau, ps[i-1], p, ratios[i-1][j], r))
+			}
+			if bound := p * (tau + 1); 2*r < float64(bound) {
+				bad = append(bad, fmt.Sprintf("at p=%d, τ=%d the ratio %.4g is below p(τ+1)/2 = %.4g", p, tau, r, float64(bound)/2))
+			}
+		}
+	}
+	if len(bad) > 0 {
+		return "VIOLATION: " + strings.Join(bad, "; ")
+	}
+	return "ratio grows with both p and τ, tracking p(τ+1) as n→∞"
 }
 
 // runE8 — remark after Lemma 4: shared FITF stops being optimal once

@@ -70,3 +70,42 @@ func TestMatrixNotesReadTheTables(t *testing.T) {
 		t.Fatalf("notes:\n%q\nwant:\n%q", got, want)
 	}
 }
+
+// TestLemma4NoteReadsTheTable: E7's note holds only while the ratio
+// rises with τ and with p and stays at least half of p(τ+1); any other
+// table is a VIOLATION naming each failed check.
+func TestLemma4NoteReadsTheTable(t *testing.T) {
+	ps, taus := []int{2, 4}, []int{0, 1}
+	for _, c := range []struct {
+		ratios [][]float64
+		want   string
+	}{
+		{[][]float64{{2, 3.9}, {3.9, 7.8}}, "ratio grows with both p and τ, tracking p(τ+1) as n→∞"},
+		{[][]float64{{2, 2}, {3.9, 7.8}}, "VIOLATION: at p=2 the ratio does not rise from τ=0 to τ=1 (2 → 2)"},
+		{[][]float64{{2, 3.9}, {2, 3.8}}, "VIOLATION: at τ=0 the ratio does not rise from p=2 to p=4 (2 → 2); " +
+			"at τ=1 the ratio does not rise from p=2 to p=4 (3.9 → 3.8); at p=4, τ=1 the ratio 3.8 is below p(τ+1)/2 = 4"},
+	} {
+		if got := lemma4Note(ps, taus, c.ratios); got != c.want {
+			t.Errorf("lemma4Note(%v):\n got %q\nwant %q", c.ratios, got, c.want)
+		}
+	}
+}
+
+// TestTrendNoteReadsTheCounts: E10's note names a rise, a rise to a
+// peak and the fall after it, or else the counts themselves.
+func TestTrendNoteReadsTheCounts(t *testing.T) {
+	for _, c := range []struct {
+		param      string
+		xs, counts []int
+		want       string
+	}{
+		{"n", []int{2, 3, 4}, []int{4, 8, 13}, "rises with n (4 → 13 for n = 2…4)"},
+		{"K", []int{2, 3, 4}, []int{9, 27, 20}, "rises with K to 27 at K = 3, then falls to 20 at K = 4"},
+		{"τ", []int{0, 1, 2}, []int{5, 3, 7}, "moves with τ without one trend (τ = [0 1 2]: [5 3 7])"},
+		{"τ", []int{0, 1}, []int{5, 5}, "moves with τ without one trend (τ = [0 1]: [5 5])"},
+	} {
+		if got := trendNote(c.param, c.xs, c.counts); got != c.want {
+			t.Errorf("trendNote(%s, %v, %v):\n got %q\nwant %q", c.param, c.xs, c.counts, got, c.want)
+		}
+	}
+}

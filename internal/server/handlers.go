@@ -1,17 +1,13 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"time"
 
-	"mcpaging/internal/core"
-	"mcpaging/internal/sim"
 	"mcpaging/internal/strategyspec"
-	"mcpaging/internal/telemetry"
 )
 
 func (s *Server) routes() {
@@ -23,47 +19,12 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 }
 
-// handleMetrics serves the server-level counters followed by the
-// telemetry Prometheus snapshot of the most recently completed job.
-// Server metrics are mcservd_*; per-run telemetry is mcpaging_*, so the
-// two families never collide in one scrape.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// handleMetrics serves the server-level counters (mcservd_*). They
+// describe the service only; one run's telemetry comes from mcsim,
+// mcsweep or mcexp on the same inputs.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.metrics.writePrometheus(w, s.snapshotGauges()); err != nil {
-		return
-	}
-	_, _ = w.Write(s.telemetrySection(r.Context()))
-}
-
-// telemetrySection returns the mcpaging_* section of /metrics: the
-// telemetry snapshot of the most recently completed job, or nil before
-// the first completion. Jobs run without an observer; the first scrape
-// after a completion replays that job once with a Collector attached,
-// and later scrapes reuse the bytes until the next completion. Runs are
-// deterministic, so the replay observes exactly the run the job made.
-// If ctx ends first the section is left out and the next scrape
-// retries.
-func (s *Server) telemetrySection(ctx context.Context) []byte {
-	s.promMu.Lock()
-	defer s.promMu.Unlock()
-	j := s.last.Load()
-	if j == s.promJob {
-		return s.prom
-	}
-	st, err := strategyspec.Build(j.Spec, j.R, j.Params.K, j.Seed)
-	if err != nil {
-		return nil
-	}
-	col := telemetry.New(telemetry.Config{Cores: j.R.NumCores(), Params: j.Params})
-	res, err := sim.RunContext(ctx, core.Instance{R: j.R, P: j.Params}, st, col.Observe)
-	if err != nil {
-		return nil
-	}
-	col.Finish(res)
-	var b bytes.Buffer
-	_ = telemetry.WritePrometheus(&b, col) // bytes.Buffer writes cannot fail
-	s.prom, s.promJob = b.Bytes(), j
-	return s.prom
+	_ = s.metrics.writePrometheus(w, s.snapshotGauges()) // a failed write means the scraper left
 }
 
 func (s *Server) handleStrategies(w http.ResponseWriter, _ *http.Request) {

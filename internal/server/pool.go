@@ -120,8 +120,6 @@ func (s *Server) execute(rn **sim.Runner, j *job) outcome {
 		}
 		return outcome{err: err}
 	}
-	last := j.Job
-	s.last.Store(&last)
 	return outcome{result: resultFrom(st.Name(), j.R.TotalLen(), res)}
 }
 

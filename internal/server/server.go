@@ -16,8 +16,7 @@
 //     request set: a job or sweep over an equal spec, such as the next
 //     cell of a fleet sweep, skips generation and is keyed from the
 //     set's stored encoding, built on the first reuse. The entry pins
-//     one request set, like the runner's last renamed set and the
-//     /metrics replay job.
+//     one request set, like the runner's last renamed set.
 //   - The result cache (rescache.go) answers repeat jobs without
 //     touching the pool; eviction order is managed by an internal/cache
 //     LRU policy with a configurable entry budget.
@@ -27,14 +26,10 @@
 //   - A fixed pool of workers drains the queue; each worker owns one
 //     reusable sim.Runner that it rebinds per job, and runs under the
 //     per-job timeout via sim's cooperative context cancellation.
-//   - /metrics serves the server-level counters plus the telemetry
-//     snapshot of the most recently completed job, both in Prometheus
-//     text format. Jobs run without a telemetry observer; the snapshot
-//     is built on scrape by replaying the last completed job with a
-//     Collector attached, so it costs one simulation per scrape after
-//     a new completion and nothing per job. The server keeps that
-//     job's request set for the replay. /healthz and /readyz are
-//     liveness and readiness.
+//   - /metrics serves the server-level counters in Prometheus text
+//     format; they describe the service, not any one run. Jobs run
+//     without a telemetry observer. /healthz and /readyz are liveness
+//     and readiness.
 //   - Drain stops intake (submissions fail with ErrDraining, readiness
 //     goes false) and waits for queued and in-flight jobs to finish —
 //     the graceful-shutdown half that follows Serve's
@@ -53,10 +48,7 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"mcpaging/internal/sweep"
 )
 
 // Config parameterises a Server. Zero values select the defaults noted
@@ -140,17 +132,6 @@ type Server struct {
 
 	drainMu  sync.RWMutex
 	draining bool
-
-	// last is the most recently completed job, the one /metrics
-	// replays; workers store it and do nothing more.
-	last atomic.Pointer[sweep.Job]
-
-	// prom is the mcpaging_* section /metrics serves, rendered by
-	// replaying promJob. A scrape renders under promMu, so concurrent
-	// scrapes share one replay.
-	promMu  sync.Mutex
-	promJob *sweep.Job
-	prom    []byte
 }
 
 // New builds a Server and starts its worker pool.

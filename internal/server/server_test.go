@@ -493,9 +493,10 @@ func TestStrategiesEndpoint(t *testing.T) {
 // promLine matches one sample line of Prometheus text format 0.0.4.
 var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [-+0-9.eE]+$|^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (NaN|[+-]Inf)$`)
 
-func TestMetricsExposesServerCountersAndTelemetry(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	// Complete one job so the telemetry snapshot exists.
+// TestMetricsExposesServerCounters: after a completed job, /metrics is
+// the server's own exposition, byte for byte, and nothing after it.
+func TestMetricsExposesServerCounters(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
 	resp := postJSON(t, ts.URL+"/v1/jobs", JobRequest{
 		Trace: TraceInput{Inline: testTrace()}, Strategy: "S(LRU)", K: 4, Tau: 2,
 	})
@@ -509,12 +510,15 @@ func TestMetricsExposesServerCountersAndTelemetry(t *testing.T) {
 	if ct := mresp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("content type %q", ct)
 	}
-	var buf bytes.Buffer
-	sc := bufio.NewScanner(mresp.Body)
+	raw, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(raw)
+	sc := bufio.NewScanner(strings.NewReader(body))
 	seen := map[string]bool{}
 	for sc.Scan() {
 		line := sc.Text()
-		buf.WriteString(line + "\n")
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -533,14 +537,17 @@ func TestMetricsExposesServerCountersAndTelemetry(t *testing.T) {
 		"mcservd_job_latency_seconds",
 		"mcservd_job_latency_seconds_sum",
 		"mcservd_job_latency_seconds_count",
-		// The telemetry snapshot of the completed run.
-		"mcpaging_requests_total",
-		"mcpaging_faults_total",
-		"mcpaging_makespan",
 	} {
 		if !seen[name] {
-			t.Fatalf("metric %s missing from scrape:\n%s", name, buf.String())
+			t.Fatalf("metric %s missing from scrape:\n%s", name, body)
 		}
+	}
+	var want bytes.Buffer
+	if err := s.metrics.writePrometheus(&want, s.snapshotGauges()); err != nil {
+		t.Fatal(err)
+	}
+	if body != want.String() {
+		t.Fatalf("scrape is not the server's exposition:\n got:\n%s\nwant:\n%s", body, want.String())
 	}
 }
 

@@ -50,9 +50,9 @@ func (t traceSet) keyer() Keyer {
 // it resolved. The cells of a fleet sweep reach a worker as separate
 // jobs over one spec, sent back to back and up to four at once, so
 // holding the last spec's request set lets every cell after the first
-// skip generation. Like a worker's runner and the /metrics replay job,
-// it pins one request set: traffic that never repeats a spec would
-// gain nothing from more entries.
+// skip generation. Like a worker's runner, it pins one request set:
+// traffic that never repeats a spec would gain nothing from more
+// entries.
 type traceReuse struct {
 	mu   sync.Mutex
 	last *traceEntry

@@ -12,21 +12,26 @@ import (
 )
 
 // bigLoop builds a single-core scan long enough that a full run takes
-// many cancellation-check intervals.
-func bigLoop(n, pages int) core.RequestSet {
+// many cancellation-check intervals, and a Runner bound to it.
+func bigLoop(t *testing.T, n, pages int) *sim.Runner {
+	t.Helper()
 	seq := make(core.Sequence, n)
 	for i := range seq {
 		seq[i] = core.PageID(i % pages)
 	}
-	return core.RequestSet{seq}
+	rn, err := sim.NewRunner(core.RequestSet{seq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rn
 }
 
 func TestRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	in := core.Instance{R: bigLoop(1_000_000, 4096), P: core.Params{K: 64, Tau: 4}}
+	rn := bigLoop(t, 1_000_000, 4096)
 	start := time.Now()
-	_, err := sim.RunContext(ctx, in, policy.NewShared(lru()), nil)
+	_, err := rn.RunContext(ctx, core.Params{K: 64, Tau: 4}, policy.NewShared(lru()), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -39,7 +44,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 
 func TestRunContextCancelledMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	in := core.Instance{R: bigLoop(2_000_000, 8192), P: core.Params{K: 256, Tau: 8}}
+	rn := bigLoop(t, 2_000_000, 8192)
 	served := 0
 	obs := func(sim.Event) {
 		served++
@@ -47,7 +52,7 @@ func TestRunContextCancelledMidRun(t *testing.T) {
 			cancel()
 		}
 	}
-	res, err := sim.RunContext(ctx, in, policy.NewShared(lru()), obs)
+	res, err := rn.RunContext(ctx, core.Params{K: 256, Tau: 8}, policy.NewShared(lru()), obs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -61,8 +66,8 @@ func TestRunContextCancelledMidRun(t *testing.T) {
 func TestRunContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	in := core.Instance{R: bigLoop(500_000, 4096), P: core.Params{K: 64, Tau: 4}}
-	_, err := sim.RunContext(ctx, in, policy.NewShared(lru()), nil)
+	rn := bigLoop(t, 500_000, 4096)
+	_, err := rn.RunContext(ctx, core.Params{K: 64, Tau: 4}, policy.NewShared(lru()), nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

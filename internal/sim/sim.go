@@ -1281,13 +1281,6 @@ var runnerPool = sync.Pool{New: func() interface{} { return new(Runner) }}
 // or strategy combinations over one request set should hold a Runner
 // instead.
 func Run(inst core.Instance, s Strategy, obs Observer) (Result, error) {
-	//mcvet:ignore ctxflow Run is the documented synchronous wrapper: a caller without a ctx is its own cancellation root
-	return RunContext(context.Background(), inst, s, obs)
-}
-
-// RunContext is Run with cooperative cancellation; see
-// Runner.RunContext for the abort semantics.
-func RunContext(ctx context.Context, inst core.Instance, s Strategy, obs Observer) (Result, error) {
 	if err := inst.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -1299,7 +1292,7 @@ func RunContext(ctx context.Context, inst core.Instance, s Strategy, obs Observe
 	if err := r.bind(inst.R); err != nil {
 		return Result{}, err
 	}
-	return r.RunContext(ctx, inst.P, s, obs)
+	return r.Run(inst.P, s, obs)
 }
 
 // ErrNotDisjoint is returned by strategies that require disjoint request

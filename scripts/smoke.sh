@@ -90,7 +90,10 @@ curl -sf -X POST -H 'Content-Type: application/json' -d "$job" "$base/v1/jobs" \
 curl -sf "$base/metrics" > "$dir/metrics.txt"
 grep -q '^mcservd_cache_hits_total 1$' "$dir/metrics.txt"
 grep -q '^mcservd_jobs_completed_total 1$' "$dir/metrics.txt"
-grep -q '^mcpaging_requests_total' "$dir/metrics.txt"   # telemetry snapshot
+# /metrics describes the service only: no run's telemetry.
+if grep -q '^mcpaging_' "$dir/metrics.txt"; then
+    echo "mcservd /metrics holds a run's telemetry:"; cat "$dir/metrics.txt"; exit 1
+fi
 sweep='{"trace":{"workload":{"cores":2,"length":2000,"pages":32,"kind":"zipf","seed":5}},"ks":[8,16],"taus":[0,4],"strategies":["S(LRU)","S(FIFO)"]}'
 test "$(curl -sf -X POST -H 'Content-Type: application/json' -d "$sweep" "$base/v1/sweep" | wc -l)" -eq 8
 kill -TERM "$servd_pid"
@@ -160,7 +163,10 @@ sleep 0.5
 kill -9 "$wa_pid"
 wait "$sweep_curl"
 test "$(wc -l < "$dir/kill_sweep.jsonl")" -eq 36   # 4*3*3 cells, none lost
-! grep -q '"error"' "$dir/kill_sweep.jsonl"
+# Not `! grep`: sh's set -e ignores a pipeline that begins with `!`.
+if grep -q '"error"' "$dir/kill_sweep.jsonl"; then
+    echo "fleet sweep streamed error cells after the worker kill:"; grep '"error"' "$dir/kill_sweep.jsonl"; exit 1
+fi
 test "$(grep -o '"key":"[0-9a-f]*"' "$dir/kill_sweep.jsonl" | sort | wc -l)" -eq 36
 test "$(grep -o '"key":"[0-9a-f]*"' "$dir/kill_sweep.jsonl" | sort -u | wc -l)" -eq 36
 curl -sf "$fbase/metrics" | grep -q '^mcfleet_ready 1$'
