@@ -54,7 +54,8 @@ FUZZ_TARGETS = \
 	FuzzReadAuto:./internal/trace \
 	FuzzDecodeRequest:./internal/server \
 	FuzzJobRequest:./internal/server \
-	FuzzJobKeyEncoding:./internal/server
+	FuzzJobKeyEncoding:./internal/server \
+	FuzzMissCurves:./internal/mattson
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -10,7 +10,6 @@ import (
 
 	"mcpaging"
 	"mcpaging/internal/experiments"
-	"mcpaging/internal/mattson"
 	"mcpaging/internal/offline"
 )
 
@@ -271,83 +270,28 @@ func BenchmarkBruteVsDP(b *testing.B) {
 	})
 }
 
-// --- ablation benchmarks for the DP design choices (DESIGN.md §5) ---
-
-var ablationPIF = mcpaging.PIFInstance{
-	Inst: mcpaging.Instance{
-		R: mcpaging.RequestSet{{0, 1, 2, 0, 1, 2}, {10, 11, 10, 12, 11, 12}},
-		P: mcpaging.Params{K: 3, Tau: 1},
-	},
-	T:      14,
-	Bounds: []int64{4, 4},
-}
-
-// BenchmarkAblationPIFPruning quantifies Algorithm 2's pair-dominance
-// pruning (identical answers with and without). Honest finding: on
-// tiny instances the dominance scan costs more than it saves — pairs
-// mostly carry distinct timestamps, so same-time dominance rarely
-// fires; the pruning exists for the deep-T regimes where pair lists
-// grow.
-func BenchmarkAblationPIFPruning(b *testing.B) {
-	b.Run("pruned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := mcpaging.DecidePIF(ablationPIF, mcpaging.OfflineOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("unpruned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := mcpaging.DecidePIF(ablationPIF, mcpaging.OfflineOptions{NoPairPruning: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationFTFPruning quantifies Algorithm 1's best-so-far
-// cutoff.
-func BenchmarkAblationFTFPruning(b *testing.B) {
-	in := mcpaging.Instance{
-		R: mcpaging.RequestSet{{0, 1, 2, 0, 1, 2}, {10, 11, 10, 12, 11, 10}},
-		P: mcpaging.Params{K: 3, Tau: 1},
-	}
-	b.Run("pruned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := mcpaging.MinTotalFaults(in, mcpaging.OfflineOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("unpruned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := mcpaging.MinTotalFaults(in, mcpaging.OfflineOptions{NoBranchPruning: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationOPTCurve contrasts a serial loop over the per-size
-// Belady simulations with OPTCurve, which fans the sizes out over
-// GOMAXPROCS goroutines (identical outputs).
-func BenchmarkAblationOPTCurve(b *testing.B) {
+// BenchmarkMissCurves computes both miss curves, up to K 256, of every
+// core of the job shape mcbench's job-cold and job-hot workloads send
+// (4 × 25 000 zipf requests over 512 pages, K 256): each curve is one
+// pass over a stack cut at 256.
+func BenchmarkMissCurves(b *testing.B) {
 	rs, err := mcpaging.GenerateWorkload(mcpaging.WorkloadSpec{
-		Cores: 1, Length: 30000, Pages: 256, Kind: mcpaging.WorkloadZipf, Seed: 9,
+		Cores: 4, Length: 25000, Pages: 512, Kind: mcpaging.WorkloadZipf, Seed: 9,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for k := 0; k <= 64; k++ {
-				mattson.OPTMisses(rs[0], k)
+	for _, c := range []struct {
+		name  string
+		curve func(mcpaging.Sequence, int) []int64
+	}{{"LRU", mcpaging.LRUMissCurve}, {"OPT", mcpaging.OPTMissCurve}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, seq := range rs {
+					c.curve(seq, 256)
+				}
 			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mcpaging.OPTMissCurve(rs[0], 64)
-		}
-	})
+		})
+	}
 }

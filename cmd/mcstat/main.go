@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -71,7 +72,7 @@ func main() {
 		fatal(err)
 	}
 
-	part, err := mattson.OptimalLRU(rs, *k)
+	part, err := mattson.OptimalLRU(context.Background(), rs, *k)
 	if err != nil {
 		fatal(err)
 	}

@@ -1,6 +1,7 @@
 package adversary_test
 
 import (
+	"context"
 	"testing"
 
 	"mcpaging/internal/adversary"
@@ -112,7 +113,7 @@ func TestLemma2Shape(t *testing.T) {
 		}
 		in := core.Instance{R: rs, P: core.Params{K: k, Tau: 1}}
 		online := run(t, in, policy.NewStatic(sizes, lru()))
-		opt, err := mattson.OptimalLRU(rs, k)
+		opt, err := mattson.OptimalLRU(context.Background(), rs, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,13 +145,40 @@ func TestTheorem1Part1Shape(t *testing.T) {
 		if shared.TotalFaults() != int64(k+p) {
 			t.Fatalf("x=%d: S_LRU faults = %d, want K+p = %d", x, shared.TotalFaults(), k+p)
 		}
-		opt, err := mattson.OptimalOPT(rs, k)
+		opt, err := mattson.OptimalOPT(context.Background(), rs, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ratio := float64(opt.Faults) / float64(shared.TotalFaults())
 		if ratio <= prevRatio {
 			t.Fatalf("separation should grow with x: %.2f after %.2f", ratio, prevRatio)
+		}
+		prevRatio = ratio
+	}
+}
+
+// TestTheorem1Part3Shape: a dynamic partition that changes only a
+// constant number of times (here two stages, swapping the larger share
+// halfway) loses to shared LRU on the round-robin construction by a
+// factor that grows with n.
+func TestTheorem1Part3Shape(t *testing.T) {
+	p, k, tau := 2, 4, 1
+	prevRatio := 0.0
+	for _, x := range []int{50, 100} {
+		rs, err := adversary.Theorem1Round(p, k, tau, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := core.Instance{R: rs, P: core.Params{K: k, Tau: tau}}
+		shared := run(t, in, adversary.SharedLRU())
+		half := int64(rs.TotalLen()) * int64(tau+1) / int64(2*p)
+		staged := run(t, in, policy.NewStaged([]policy.Stage{
+			{At: 0, Sizes: []int{3, 1}},
+			{At: half, Sizes: []int{1, 3}},
+		}, lru()))
+		ratio := float64(staged.TotalFaults()) / float64(shared.TotalFaults())
+		if ratio <= prevRatio {
+			t.Fatalf("x=%d: two-stage ratio %.2f after %.2f, want it growing with n", x, ratio, prevRatio)
 		}
 		prevRatio = ratio
 	}
@@ -175,7 +203,7 @@ func TestTheorem1Part2Shape(t *testing.T) {
 		k := 8
 		in := core.Instance{R: rs, P: core.Params{K: k, Tau: 1}}
 		shared := run(t, in, adversary.SharedLRU())
-		opt, err := mattson.OptimalOPT(rs, k)
+		opt, err := mattson.OptimalOPT(context.Background(), rs, k)
 		if err != nil {
 			t.Fatal(err)
 		}

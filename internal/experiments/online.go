@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -100,7 +101,7 @@ func runE2(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt, err := mattson.OptimalLRU(rs, k)
+		opt, err := mattson.OptimalLRU(context.TODO(), rs, k)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +144,7 @@ func runE3(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt, err := mattson.OptimalOPT(rs, k)
+		opt, err := mattson.OptimalOPT(context.TODO(), rs, k)
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +184,7 @@ func runE4(cfg Config) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		opt, err := mattson.OptimalOPT(rs, k)
+		opt, err := mattson.OptimalOPT(context.TODO(), rs, k)
 		if err != nil {
 			return err
 		}

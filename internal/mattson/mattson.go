@@ -1,12 +1,17 @@
 // Package mattson computes per-core miss curves and optimal static cache
 // partitions.
 //
-// For a single core, the number of LRU misses as a function of cache size
-// is obtained in one pass with Mattson's stack algorithm (Mattson et al.,
-// IBM Systems Journal 1970): the LRU stack distance of each access is the
-// depth of the page in the recency stack, and an access misses in a cache
-// of size k exactly when its stack distance exceeds k. The OPT (Belady)
-// miss curve is obtained by direct simulation per size.
+// Both miss curves of a sequence come from one pass of a stack algorithm
+// (Mattson et al., IBM Systems Journal 1970). After each access the top
+// k pages of the stack are what a cache of k pages holds, for every k at
+// once, so an access misses in a cache of size k exactly when its depth
+// in the stack (its stack distance) exceeds k. LRU's stack is the
+// recency stack: the accessed page moves to the top. Belady's OPT is a
+// stack algorithm too, with priority = next use: the accessed page moves
+// to the top and carries the pages it displaces down, each depth keeping
+// whichever of its own page and the carried one is used again sooner.
+// Both passes run over the sequence renamed to dense IDs, on a stack cut
+// at the largest cache size asked for.
 //
 // Because a fault only delays the faulting core's own sequence, the
 // per-core fault count of a *static partition* strategy is independent of
@@ -17,149 +22,201 @@
 package mattson
 
 import (
-	"container/heap"
+	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"mcpaging/internal/core"
-	"mcpaging/internal/par"
 )
 
-// LRUCurve returns the LRU miss counts for cache sizes 0..kmax for one
-// sequence: curve[k] is the number of misses with a dedicated LRU cache
-// of k pages. curve[0] is defined as len(seq).
-func LRUCurve(seq core.Sequence, kmax int) []int64 {
-	curve := make([]int64, kmax+1)
-	if kmax < 0 {
-		return nil
-	}
-	// Recency stack, most recent first. Depth search is O(depth), giving
-	// O(n·w) worst case, which is fine at library scales; distances
-	// beyond kmax can stop early since all such accesses miss at every
-	// size ≤ kmax anyway — but we still need exact distances ≤ kmax.
-	stack := make([]core.PageID, 0, kmax+1)
-	histo := make([]int64, kmax+2) // histo[d] = accesses at distance d (1-based); [kmax+1] = deeper or cold
-	pos := make(map[core.PageID]int)
-	for _, p := range seq {
-		if i, ok := pos[p]; ok {
-			d := i + 1
-			if d > kmax {
-				histo[kmax+1]++
-			} else {
-				histo[d]++
-			}
-			// Move to front.
-			copy(stack[1:i+1], stack[:i])
-			stack[0] = p
-			for j := 0; j <= i; j++ {
-				pos[stack[j]] = j
-			}
-		} else {
-			histo[kmax+1]++ // cold miss at every size
-			stack = append(stack, core.NoPage)
-			copy(stack[1:], stack[:len(stack)-1])
-			stack[0] = p
-			for j := range stack {
-				pos[stack[j]] = j
-			}
+// dense is one sequence with its pages renamed 0..distinct-1 in order of
+// first appearance.
+type dense struct {
+	ids      []int32
+	distinct int
+}
+
+func renumber(seq core.Sequence) dense {
+	ids := make([]int32, len(seq))
+	name := make(map[core.PageID]int32)
+	for i, p := range seq {
+		id, ok := name[p]
+		if !ok {
+			id = int32(len(name))
+			name[p] = id
 		}
+		ids[i] = id
 	}
-	// misses(k) = # accesses with distance > k.
-	var beyond int64 = histo[kmax+1]
-	for k := kmax; k >= 0; k-- {
-		curve[k] = beyond
-		if k >= 1 {
-			beyond += histo[k]
-		}
+	return dense{ids: ids, distinct: len(name)}
+}
+
+// nextRequests returns, for each request, the index of the next
+// request for the same page, or len(d.ids) if there is none.
+func (d dense) nextRequests() []int {
+	n := len(d.ids)
+	next, after := make([]int, n), make([]int, d.distinct)
+	for p := range after {
+		after[p] = n
 	}
-	curve[0] = int64(len(seq))
+	for i := n - 1; i >= 0; i-- {
+		p := d.ids[i]
+		next[i], after[p] = after[p], i
+	}
+	return next
+}
+
+// checkSteps bounds the stack steps a curve pass takes between checks
+// of its context. A request walks at most kmax steps, so a pass checks
+// once every max(checkSteps/kmax, 1) requests.
+const checkSteps = 1 << 16
+
+// curveFrom turns a stack-distance histogram into a miss curve:
+// depth[d] counts the accesses found at depth d (1-based, depth[0]
+// unused) and deeper those found below the cut or not at all, which
+// miss at every size.
+func curveFrom(depth []int64, deeper int64) []int64 {
+	curve := make([]int64, len(depth))
+	for k := len(depth) - 1; k >= 0; k-- {
+		curve[k] = deeper
+		deeper += depth[k]
+	}
 	return curve
 }
 
-// optHeapItem is a lazy max-heap entry for the Belady simulation.
-type optHeapItem struct {
-	next int64 // next-use index (math.MaxInt64 = never)
-	page core.PageID
-}
-
-type optHeap []optHeapItem
-
-func (h optHeap) Len() int { return len(h) }
-func (h optHeap) Less(i, j int) bool {
-	if h[i].next != h[j].next {
-		return h[i].next > h[j].next // max-heap on next use
+// lruCurve is LRUCurve's pass: a recency stack of the top kmax pages,
+// with in marking the pages it holds.
+func (d dense) lruCurve(ctx context.Context, kmax int) ([]int64, error) {
+	if kmax < 0 {
+		return nil, nil
 	}
-	return h[i].page < h[j].page
+	every := max(checkSteps/max(kmax, 1), 1)
+	depth := make([]int64, kmax+1)
+	var deeper int64
+	stack := make([]int32, 0, kmax)
+	in := make([]bool, d.distinct)
+	for i, p := range d.ids {
+		if i%every == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		at := len(stack) // p's depth - 1, or the stack's length if absent
+		if in[p] {
+			at = slices.Index(stack, p)
+			depth[at+1]++
+		} else {
+			deeper++
+			if kmax == 0 {
+				continue
+			}
+			if at < kmax {
+				stack = append(stack, p)
+			} else {
+				at--
+				in[stack[at]] = false
+			}
+			in[p] = true
+		}
+		copy(stack[1:at+1], stack[:at])
+		stack[0] = p
+	}
+	return curveFrom(depth, deeper), nil
 }
-func (h optHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *optHeap) Push(x interface{}) { *h = append(*h, x.(optHeapItem)) }
-func (h *optHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// optCurve is OPTCurve's pass: Belady's stack of the top kmax pages,
+// ordered at each depth by next use.
+func (d dense) optCurve(ctx context.Context, kmax int) ([]int64, error) {
+	if kmax < 0 {
+		return nil, nil
+	}
+	every := max(checkSteps/max(kmax, 1), 1)
+	// nextUse[p] is the index of p's next request, as of its latest.
+	next, nextUse := d.nextRequests(), make([]int, d.distinct)
+	depth := make([]int64, kmax+1)
+	var deeper int64
+	stack := make([]int32, 0, kmax)
+	for i, p := range d.ids {
+		if i%every == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		nextUse[p] = next[i]
+		// p takes the top. Below it, the carried page is the one a cache
+		// of the depths above evicts; each depth keeps the sooner used of
+		// its own page and the carried one, and carries the other down.
+		carry, at := p, 0
+		for ; at < len(stack); at++ {
+			q := stack[at]
+			if q == p {
+				break
+			}
+			if at == 0 || nextUse[q] > nextUse[carry] {
+				stack[at], carry = carry, q
+			}
+		}
+		switch {
+		case at < len(stack): // a hit at depth at+1: p's old slot takes the carried page
+			stack[at] = carry
+			depth[at+1]++
+		case len(stack) < kmax: // a miss everywhere, and the stack grows
+			stack = append(stack, carry)
+			deeper++
+		default: // a miss everywhere; the carried page falls past the cut
+			deeper++
+		}
+	}
+	return curveFrom(depth, deeper), nil
+}
+
+// LRUCurve returns the LRU miss counts for cache sizes 0..kmax for one
+// sequence: curve[k] is the number of misses with a dedicated LRU cache
+// of k pages. curve[0] is len(seq). It takes one pass over seq, with a
+// stack search of at most kmax steps per request.
+func LRUCurve(seq core.Sequence, kmax int) []int64 {
+	curve, _ := renumber(seq).lruCurve(context.TODO(), kmax)
+	return curve
+}
+
+// OPTCurve returns Belady miss counts for sizes 0..kmax: curve[k] is
+// OPTMisses(seq, k). It takes one pass of Belady's stack algorithm over
+// seq, with at most kmax stack steps per request.
+func OPTCurve(seq core.Sequence, kmax int) []int64 {
+	curve, _ := renumber(seq).optCurve(context.TODO(), kmax)
+	return curve
 }
 
 // OPTMisses returns the number of misses of Belady's optimal algorithm on
 // one sequence with a dedicated cache of k pages. For a single sequence
-// (no cross-core alignment effects) Belady is optimal for any τ.
+// (no cross-core alignment effects) Belady is optimal for any τ. It is
+// the textbook simulation, O(len(seq)·k): on a miss with a full cache it
+// evicts the cached page whose next use is furthest ahead. The curve
+// tests check OPTCurve against it at every size.
 func OPTMisses(seq core.Sequence, k int) int64 {
 	if k <= 0 {
 		return int64(len(seq))
 	}
-	n := len(seq)
-	// next[i] = next index of the same page after i, or MaxInt64.
-	next := make([]int64, n)
-	last := make(map[core.PageID]int)
-	for i := n - 1; i >= 0; i-- {
-		if j, ok := last[seq[i]]; ok {
-			next[i] = int64(j)
-		} else {
-			next[i] = math.MaxInt64
-		}
-		last[seq[i]] = i
-	}
-	inCache := make(map[core.PageID]bool)
-	curNext := make(map[core.PageID]int64)
-	h := &optHeap{}
+	d := renumber(seq)
+	next := d.nextRequests()
+	cached := make([]int32, 0, k)
+	due := make([]int, 0, k) // due[c] is cached[c]'s next request
 	var misses int64
-	for i, p := range seq {
-		if inCache[p] {
-			curNext[p] = next[i]
-			heap.Push(h, optHeapItem{next: next[i], page: p})
+	for i, p := range d.ids {
+		if c := slices.Index(cached, p); c >= 0 {
+			due[c] = next[i]
 			continue
 		}
 		misses++
-		if len(inCache) >= k {
-			// Pop lazily until a live entry surfaces.
-			for {
-				it := heap.Pop(h).(optHeapItem)
-				if inCache[it.page] && curNext[it.page] == it.next {
-					delete(inCache, it.page)
-					delete(curNext, it.page)
-					break
-				}
+		if len(cached) < k {
+			cached, due = append(cached, p), append(due, next[i])
+			continue
+		}
+		far := 0
+		for c := range due {
+			if due[c] > due[far] {
+				far = c
 			}
 		}
-		inCache[p] = true
-		curNext[p] = next[i]
-		heap.Push(h, optHeapItem{next: next[i], page: p})
+		cached[far], due[far] = p, next[i]
 	}
 	return misses
-}
-
-// OPTCurve returns Belady miss counts for sizes 0..kmax. Each size is an
-// independent simulation, so the sizes run on up to GOMAXPROCS
-// goroutines: the OPT curve is the most expensive step of sP^OPT_OPT
-// baselines on long traces. BenchmarkAblationOPTCurve (bench_test.go at
-// the module root) compares it with a serial loop over OPTMisses.
-func OPTCurve(seq core.Sequence, kmax int) []int64 {
-	curve := make([]int64, kmax+1)
-	par.For(len(curve), 0, func() func(int) {
-		return func(k int) { curve[k] = OPTMisses(seq, k) }
-	})
-	return curve
 }
 
 // Partition is a static split of K cells over the cores, with the total
@@ -277,37 +334,33 @@ func ActiveMask(r core.RequestSet) []bool {
 
 // OptimalLRU computes the best static partition for per-part LRU on the
 // request set — the paper's sP^OPT_LRU baseline (Lemma 2) — together with
-// its predicted fault count (exact for disjoint request sets).
-func OptimalLRU(r core.RequestSet, k int) (Partition, error) {
-	curves := make([][]int64, len(r))
-	for j, s := range r {
-		curves[j] = LRUCurve(s, flatPoint(s, k))
-	}
-	return Optimal(curves, k, ActiveMask(r))
+// its predicted fault count (exact for disjoint request sets). Its curve
+// passes stop with ctx's error once ctx is done.
+func OptimalLRU(ctx context.Context, r core.RequestSet, k int) (Partition, error) {
+	return optimal(ctx, r, k, dense.lruCurve)
 }
 
 // OptimalOPT computes the best static partition for per-part Belady
 // eviction — the paper's sP^OPT_OPT baseline (Theorem 1) — with its
-// predicted fault count (exact for disjoint request sets).
-func OptimalOPT(r core.RequestSet, k int) (Partition, error) {
-	curves := make([][]int64, len(r))
-	for j, s := range r {
-		curves[j] = OPTCurve(s, flatPoint(s, k))
-	}
-	return Optimal(curves, k, ActiveMask(r))
+// predicted fault count (exact for disjoint request sets). Its curve
+// passes stop with ctx's error once ctx is done.
+func OptimalOPT(ctx context.Context, r core.RequestSet, k int) (Partition, error) {
+	return optimal(ctx, r, k, dense.optCurve)
 }
 
-// flatPoint returns min(k, the distinct pages of s). A cache that holds
-// every distinct page misses only on first references, under LRU and
-// under Belady alike, so s's miss curves are flat past that size and
+// optimal cuts each core's curve at min(k, its distinct pages). A cache
+// that holds every distinct page misses only on first references, under
+// LRU and under Belady alike, so the curves are flat past that size and
 // Optimal reads a curve cut there as it reads the whole one.
-func flatPoint(s core.Sequence, k int) int {
-	seen := make(map[core.PageID]struct{})
-	for _, p := range s {
-		if len(seen) >= k {
-			break
+func optimal(ctx context.Context, r core.RequestSet, k int, pass func(dense, context.Context, int) ([]int64, error)) (Partition, error) {
+	curves := make([][]int64, len(r))
+	for j, s := range r {
+		d := renumber(s)
+		c, err := pass(d, ctx, min(k, d.distinct))
+		if err != nil {
+			return Partition{}, err
 		}
-		seen[p] = struct{}{}
+		curves[j] = c
 	}
-	return min(len(seen), k)
+	return Optimal(curves, k, ActiveMask(r))
 }

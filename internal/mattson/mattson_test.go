@@ -1,6 +1,8 @@
 package mattson_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -368,7 +370,7 @@ func TestOptimalFromCurvesCutAtDistinctPages(t *testing.T) {
 		for _, c := range []struct {
 			name    string
 			curve   func(core.Sequence, int) []int64
-			optimal func(core.RequestSet, int) (mattson.Partition, error)
+			optimal func(context.Context, core.RequestSet, int) (mattson.Partition, error)
 		}{
 			{"LRU", mattson.LRUCurve, mattson.OptimalLRU},
 			{"OPT", mattson.OPTCurve, mattson.OptimalOPT},
@@ -378,7 +380,7 @@ func TestOptimalFromCurvesCutAtDistinctPages(t *testing.T) {
 				curves[j] = c.curve(seq, k)
 			}
 			want, werr := referenceOptimal(curves, k, mattson.ActiveMask(rs))
-			got, gerr := c.optimal(rs, k)
+			got, gerr := c.optimal(context.Background(), rs, k)
 			if werr != nil || gerr != nil {
 				t.Fatalf("trial %d %s: %v, reference %v", trial, c.name, gerr, werr)
 			}
@@ -412,12 +414,12 @@ func TestOptimalSizesPastInt16(t *testing.T) {
 // at once. The search to K took O(p·K²) time and O(p·K) memory.
 func TestOptimalWorkFollowsTheTrace(t *testing.T) {
 	rs := core.RequestSet{{1, 2, 3, 1, 2, 4}, {10, 11, 10, 12, 11}}
-	for _, optimal := range []func(core.RequestSet, int) (mattson.Partition, error){mattson.OptimalLRU, mattson.OptimalOPT} {
-		small, err := optimal(rs, 2000)
+	for _, optimal := range []func(context.Context, core.RequestSet, int) (mattson.Partition, error){mattson.OptimalLRU, mattson.OptimalOPT} {
+		small, err := optimal(context.Background(), rs, 2000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		huge, err := optimal(rs, 1<<23)
+		huge, err := optimal(context.Background(), rs, 1<<23)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,7 +453,7 @@ func TestOptimalLRUPredictionExact(t *testing.T) {
 			}
 		}
 		k := p + rng.Intn(6)
-		part, err := mattson.OptimalLRU(rs, k)
+		part, err := mattson.OptimalLRU(context.Background(), rs, k)
 		if err != nil {
 			return false
 		}
@@ -481,11 +483,11 @@ func TestOptimalOPTBeatsOptimalLRU(t *testing.T) {
 			return s
 		}(),
 	}
-	lruPart, err := mattson.OptimalLRU(rs, 8)
+	lruPart, err := mattson.OptimalLRU(context.Background(), rs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optPart, err := mattson.OptimalOPT(rs, 8)
+	optPart, err := mattson.OptimalOPT(context.Background(), rs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,9 +496,9 @@ func TestOptimalOPTBeatsOptimalLRU(t *testing.T) {
 	}
 }
 
-// TestOPTCurveParallelMatchesSerial checks the fanned-out curve against
-// one OPTMisses call per size.
-func TestOPTCurveParallelMatchesSerial(t *testing.T) {
+// TestOPTCurveMatchesOPTMisses checks the one-pass curve against one
+// OPTMisses simulation per size.
+func TestOPTCurveMatchesOPTMisses(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	seq := randSeq(rng, 500, 20)
 	curve := mattson.OPTCurve(seq, 16)
@@ -508,4 +510,53 @@ func TestOPTCurveParallelMatchesSerial(t *testing.T) {
 			t.Errorf("k=%d: OPTCurve %d, OPTMisses %d", k, got, want)
 		}
 	}
+}
+
+// TestOptimalStopsWithTheContext: a cancelled context stops both curve
+// passes with its error, before any partition is found.
+func TestOptimalStopsWithTheContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rs := core.RequestSet{{1, 2, 3, 1, 2}, {4, 5, 4}}
+	for _, optimal := range []func(context.Context, core.RequestSet, int) (mattson.Partition, error){mattson.OptimalLRU, mattson.OptimalOPT} {
+		if _, err := optimal(ctx, rs, 4); !errors.Is(err, context.Canceled) {
+			t.Fatalf("error %v, want context.Canceled", err)
+		}
+	}
+}
+
+// FuzzMissCurves checks both one-pass curves at every size up to kmax:
+// the OPT curve against one OPTMisses simulation per size, and the LRU
+// curve against the engine's sequential LRU.
+func FuzzMissCurves(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 1, 2, 3, 4, 1, 2}, uint8(5))
+	f.Add([]byte{0, 0, 1, 0, 2, 9, 1}, uint8(0))
+	f.Add([]byte{5, 4, 3, 2, 1, 5, 4, 3, 2, 1, 6}, uint8(12))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 0, 2, 4, 6, 1, 3, 5, 0, 6, 5, 4}, uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, kb uint8) {
+		if len(raw) > 64 {
+			raw = raw[:64]
+		}
+		seq := make(core.Sequence, len(raw))
+		for i, b := range raw {
+			seq[i] = core.PageID(b % 16)
+		}
+		kmax := int(kb % 20)
+		opt, lru := mattson.OPTCurve(seq, kmax), mattson.LRUCurve(seq, kmax)
+		if len(opt) != kmax+1 || len(lru) != kmax+1 {
+			t.Fatalf("kmax %d: curves of %d and %d points", kmax, len(opt), len(lru))
+		}
+		for k := 0; k <= kmax; k++ {
+			if want := mattson.OPTMisses(seq, k); opt[k] != want {
+				t.Fatalf("%v k=%d: OPTCurve %d, OPTMisses %d", seq, k, opt[k], want)
+			}
+			want := int64(len(seq))
+			if k > 0 {
+				want = simLRUMisses(t, seq, k)
+			}
+			if lru[k] != want {
+				t.Fatalf("%v k=%d: LRUCurve %d, simulated LRU %d", seq, k, lru[k], want)
+			}
+		}
+	})
 }

@@ -71,9 +71,6 @@ func SolveFTF(inst core.Instance, opts Options) (FTFSolution, error) {
 				}
 				continue
 			}
-			if st.faults >= best && !opts.NoBranchPruning {
-				continue // cannot improve
-			}
 			tr := pr.advance(st.config, st.x)
 			nf := st.faults + int64(len(tr.faults))
 			nsum := posSum(tr.nx)

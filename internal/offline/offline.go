@@ -59,13 +59,6 @@ type Options struct {
 	// exponential in K and p; the limit turns an accidental large
 	// instance into an error instead of an OOM.
 	MaxStates int
-	// NoPairPruning disables Algorithm 2's dominance pruning of
-	// (fault-vector, time) pairs. Results are identical; the flag exists
-	// for the ablation benchmark quantifying what the pruning saves.
-	NoPairPruning bool
-	// NoBranchPruning disables Algorithm 1's best-so-far cutoff.
-	// Results are identical; ablation benchmark only.
-	NoBranchPruning bool
 }
 
 const defaultMaxStates = 4_000_000

@@ -510,39 +510,3 @@ func TestParetoFrontierRejectsWrongArity(t *testing.T) {
 		t.Fatal("p != 2 should be rejected")
 	}
 }
-
-// TestAblationFlagsPreserveResults: the pruning ablation switches change
-// cost only, never answers.
-func TestAblationFlagsPreserveResults(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 40; trial++ {
-		in := tinyInstance(rng)
-		a, err := offline.SolveFTF(in, offline.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := offline.SolveFTF(in, offline.Options{NoBranchPruning: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Faults != b.Faults {
-			t.Fatalf("branch pruning changed the optimum: %d vs %d", a.Faults, b.Faults)
-		}
-		bounds := make([]int64, in.R.NumCores())
-		for i := range bounds {
-			bounds[i] = int64(rng.Intn(len(in.R[i]) + 1))
-		}
-		pi := offline.PIFInstance{Inst: in, T: int64(1 + rng.Intn(10)), Bounds: bounds}
-		x, _, err := offline.DecidePIF(pi, offline.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		y, _, err := offline.DecidePIF(pi, offline.Options{NoPairPruning: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if x != y {
-			t.Fatalf("pair pruning changed the answer: %v vs %v", x, y)
-		}
-	}
-}

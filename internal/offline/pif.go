@@ -2,6 +2,7 @@ package offline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mcpaging/internal/core"
@@ -50,56 +51,25 @@ type pifPair struct {
 	t int32
 }
 
-// pifState is a DP node holding the set of non-dominated pairs.
+// pifState is a DP node holding its distinct pairs.
 type pifState struct {
 	config []core.PageID
 	x      []int
 	pairs  []pifPair
 }
 
-// addPair inserts a pair unless dominated; it prunes pairs the new one
-// dominates. Dominance requires equal time: from the same state at the
-// same elapsed time, componentwise fewer faults is never worse, but pairs
-// at different times are incomparable (an earlier arrival serves more
-// requests before the checkpoint and may fault more by then).
-func (st *pifState) addPair(np pifPair, noPrune bool) bool {
-	if noPrune {
-		// Ablation mode: exact-duplicate detection only.
-		for _, q := range st.pairs {
-			if q.t == np.t && allLE(q.f, np.f) && allLE(np.f, q.f) {
-				return false
-			}
-		}
-		st.pairs = append(st.pairs, np)
-		return true
-	}
-	keep := st.pairs[:0]
-	dominated := false
+// addPair inserts a pair unless the state already holds it. A pair with
+// componentwise more faults than another of the same time could be
+// dropped too without changing the answer, but on the instances of
+// experiment E11 no pair is so dominated, so the scan for it would only
+// cost time.
+func (st *pifState) addPair(np pifPair) bool {
 	for _, q := range st.pairs {
-		if q.t == np.t {
-			if allLE(q.f, np.f) {
-				dominated = true
-			}
-			if !dominated && allLE(np.f, q.f) {
-				continue // q is dominated by np; drop it
-			}
-		}
-		keep = append(keep, q)
-	}
-	st.pairs = keep
-	if dominated {
-		return false
-	}
-	st.pairs = append(st.pairs, np)
-	return true
-}
-
-func allLE(a, b []int32) bool {
-	for i := range a {
-		if a[i] > b[i] {
+		if q.t == np.t && slices.Equal(q.f, np.f) {
 			return false
 		}
 	}
+	st.pairs = append(st.pairs, np)
 	return true
 }
 
@@ -235,7 +205,7 @@ func DecidePIF(pi PIFInstance, opts Options) (bool, PIFStats, error) {
 			st = &pifState{config: config, x: x}
 			buckets[sum][key] = st
 		}
-		if st.addPair(p, opts.NoPairPruning) {
+		if st.addPair(p) {
 			stats.Pairs++
 		}
 	}

@@ -1,7 +1,6 @@
 // Package par is the one fan-out behind every batch run: sweep grids,
-// verify's claims, the experiment suite and the per-size OPT curve all
-// run n independent, indexed items through For and keep the results in
-// index order.
+// verify's claims and the experiment suite all run n independent,
+// indexed items through For and keep the results in index order.
 package par
 
 import (

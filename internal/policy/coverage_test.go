@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"testing"
 
 	"mcpaging/internal/cache"
@@ -29,10 +30,12 @@ func acc(c int, t int64) cache.Access { return cache.Access{Core: c, Time: t} }
 
 // testController is a scripted Controller for unit-testing Partitioned:
 // a quota vector the test mutates in place, donor = faulting core's own
-// part, with the over-quota steal fallback enabled.
+// part, with the over-quota steal fallback enabled. With ticks set it
+// ticks, and its next Tick reports a quota move when moved is set.
 type testController struct {
-	quota []int
-	steal bool
+	quota        []int
+	steal        bool
+	ticks, moved bool
 }
 
 func (c *testController) Name() string                            { return "test" }
@@ -45,9 +48,13 @@ func (c *testController) Evicted(core.PageID)                     {}
 func (c *testController) Donor(j int, _ PartView, _ func(core.PageID) bool) (int, bool) {
 	return j, true
 }
-func (c *testController) StealOnEmpty() bool       { return c.steal }
-func (c *testController) Tick(int64) bool          { return false }
-func (c *testController) Ticks() bool              { return false }
+func (c *testController) StealOnEmpty() bool { return c.steal }
+func (c *testController) Ticks() bool        { return c.ticks }
+func (c *testController) Tick(int64) bool {
+	moved := c.moved
+	c.moved = false
+	return moved
+}
 func (c *testController) Capacity(int, int64) bool { return false }
 
 // TestPartitionedDonorSteal exercises the fallback where a core whose
@@ -109,6 +116,56 @@ func TestPartitionedDonorSteal(t *testing.T) {
 	if s.occ[0] != 2 || s.occ[1] != 1 {
 		t.Fatalf("occupancies after steal: %v", s.occ)
 	}
+}
+
+// TestPartitionedTickShedsOnlyWhenOver pins when a tick sheds: after a
+// quota move, on the ticks after a shed that stopped at an in-flight
+// page, and after a fault that stole a cell for a part already at its
+// quota. Any other tick sheds nothing.
+func TestPartitionedTickShedsOnlyWhenOver(t *testing.T) {
+	ctrl := &testController{quota: []int{2, 2}, steal: true, ticks: true}
+	s := NewPartitioned(ctrl, func() cache.Policy { return cache.NewLRU() })
+	in := core.Instance{R: core.RequestSet{{1}, {1}}, P: core.Params{K: 4}}
+	if err := s.Init(in); err != nil {
+		t.Fatal(err)
+	}
+	v := &fakeView{resident: map[core.PageID]bool{}, free: 4, k: 4}
+	fillParts(t, s, v, [][]core.PageID{{1, 2}, {11, 12}})
+	tick := func(at int64, want ...core.PageID) {
+		t.Helper()
+		got := s.OnTick(at, v)
+		if !slices.Equal(got, want) {
+			t.Fatalf("tick %d shed %v, want %v", at, got, want)
+		}
+		for _, pg := range got {
+			delete(v.resident, pg)
+			v.free++
+		}
+	}
+	tick(1)
+	// Part 1's quota drops to 1 while both its pages are in flight: the
+	// shed stops, and the next tick, with no quota move, retries it.
+	ctrl.quota[0], ctrl.quota[1], ctrl.moved = 3, 1, true
+	v.resident[11], v.resident[12] = false, false
+	tick(2)
+	v.resident[11], v.resident[12] = true, true
+	tick(3, 11)
+	tick(4)
+	// Core 0 fills its third cell, then faults with all its pages in
+	// flight: it steals part 1's cell and goes over its quota, which the
+	// next tick sheds.
+	if got := s.OnFault(3, acc(0, 5), v); got != core.NoPage {
+		t.Fatalf("expected free-cell placement, got victim %d", got)
+	}
+	v.resident[3], v.free = true, 0
+	v.resident[1], v.resident[2], v.resident[3] = false, false, false
+	if got := s.OnFault(4, acc(0, 6), v); got != 12 {
+		t.Fatalf("steal took %d, want part 1's page 12", got)
+	}
+	delete(v.resident, 12)
+	v.resident[1], v.resident[2], v.resident[3], v.resident[4] = true, true, true, true
+	tick(7, 1)
+	tick(8)
 }
 
 // TestPartitionedNoDonor: when no part has pages, OnFault reports NoPage

@@ -31,6 +31,11 @@ type Partitioned struct {
 	quota  []int // aliases ctrl.Quota(); nil = occupancy-driven
 	vf     viewFuncs
 	ticks  bool
+	// over is set when a part may hold more cells than its quota: the
+	// quota moved, a fault moved a cell to a part already at its quota,
+	// or a shed stopped at an in-flight page. OnTick scans the parts only
+	// while it is set, and clears it once a scan leaves none over.
+	over bool
 
 	// Scratch reused across calls: the pages OnTick returns (the engine
 	// reads them before the next call) and SurrenderOne's refused parts.
@@ -101,6 +106,7 @@ func (s *Partitioned) Init(inst core.Instance) error {
 		clear(s.occ)
 	}
 	s.vf.reset()
+	s.over = false
 	return nil
 }
 
@@ -228,6 +234,9 @@ func (s *Partitioned) OnFault(p core.PageID, at cache.Access, v sim.View) core.P
 		if d != j {
 			s.occ[d]--
 			s.occ[j]++
+			if s.quota != nil && s.occ[j] > s.quota[j] {
+				s.over = true
+			}
 		}
 		s.ctrl.Evicted(w)
 	}
@@ -255,8 +264,13 @@ func (s *Partitioned) OnTick(t int64, v sim.View) []core.PageID {
 		for j := range s.parts {
 			s.parts[j].Resize(s.quota[j])
 		}
+		s.over = true
+	}
+	if !s.over {
+		return nil
 	}
 	out := s.shed[:0]
+	s.over = false
 	for j := range s.occ {
 		over := s.occ[j] - s.quota[j]
 		if over <= 0 {
@@ -270,7 +284,8 @@ func (s *Partitioned) OnTick(t int64, v sim.View) []core.PageID {
 		for i := 0; i < over; i++ {
 			w, ok := s.parts[j].Evict(s.vf.resident)
 			if !ok {
-				break // in-flight pages; retried next tick
+				s.over = true // in-flight pages; retried next tick
+				break
 			}
 			s.partOf[w] = -1
 			s.occ[j]--
@@ -289,6 +304,7 @@ func (s *Partitioned) OnTick(t int64, v sim.View) []core.PageID {
 func (s *Partitioned) OnCapacity(k int, t int64) {
 	if s.ctrl.Capacity(k, t) {
 		s.quota = s.ctrl.Quota()
+		s.over = true
 	}
 	for j := range s.parts {
 		if s.quota != nil {

@@ -290,9 +290,10 @@ func (req SweepRequest) resolve(step traceStep, maxRequests int) ([]sweep.Job, t
 }
 
 // checkK bounds K by the per-job budget. A run of at most maxRequests
-// requests never fills more cells, and some strategies (UCP's utility
-// monitors, sP[opt]'s miss curves) take memory and time in proportion
-// to K, so a larger K is refused before anything is built for it.
+// requests never fills more cells, so a larger K is refused before
+// anything is built for it. sP[opt]'s miss curves take one pass per
+// core, with at most min(K, the core's distinct pages) stack steps a
+// request, and the job's timeout stops them as it stops the run.
 func checkK(k, maxRequests int) error {
 	if k > maxRequests {
 		return fmt.Errorf("K=%d exceeds the per-job budget of %d", k, maxRequests)

@@ -91,8 +91,11 @@ func (s *Server) execute(rn **sim.Runner, j *job) outcome {
 		ctx, cancel = context.WithTimeout(ctx, j.timeout)
 		defer cancel()
 	}
-	st, err := strategyspec.Build(j.Spec, j.R, j.Params.K, j.Seed)
+	st, err := strategyspec.BuildContext(ctx, j.Spec, j.R, j.Params.K, j.Seed)
 	if err != nil {
+		if ctx.Err() != nil {
+			return outcome{err: s.stopped(j, err)}
+		}
 		return outcome{err: errBuild{err}}
 	}
 	// A strategy that cannot shed cells cannot run under a changing
@@ -114,13 +117,19 @@ func (s *Server) execute(rn **sim.Runner, j *job) outcome {
 	defer (*rn).Release()
 	res, err := (*rn).RunContext(ctx, j.Params, st, nil)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.metrics.timeouts.Add(1)
-			err = fmt.Errorf("job exceeded its %v timeout: %w", j.timeout, err)
-		}
-		return outcome{err: err}
+		return outcome{err: s.stopped(j, err)}
 	}
 	return outcome{result: resultFrom(st.Name(), j.R.TotalLen(), res)}
+}
+
+// stopped is the error of a build or run that failed; one past the
+// job's deadline counts as a timeout.
+func (s *Server) stopped(j *job, err error) error {
+	if errors.Is(err, context.DeadlineExceeded) {
+		s.metrics.timeouts.Add(1)
+		err = fmt.Errorf("job exceeded its %v timeout: %w", j.timeout, err)
+	}
+	return err
 }
 
 // resultFrom converts a sim.Result into the wire Result.

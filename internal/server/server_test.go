@@ -319,6 +319,43 @@ func TestJobTimeoutAbortsAndWorkerIsReclaimed(t *testing.T) {
 	}
 }
 
+// TestJobTimeoutStopsTheBuild: the job's deadline covers the strategy
+// build. sP[opt](LRU) over a 4 096-page loop at K 4 096 scans the whole
+// recency stack on every request of its curve pass, for seconds; the
+// pass stops at the deadline, the job takes the timeout path (a 504 and
+// the timeouts counter, not a build error's 422), and the worker takes
+// the next job.
+func TestJobTimeoutStopsTheBuild(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	s, ts := newTestServer(t, Config{Workers: 1, JobTimeout: timeout})
+	slow := JobRequest{
+		Trace: TraceInput{Workload: &workload.Spec{
+			Cores: 1, Length: 1_000_000, Pages: 4096, Kind: workload.Loop, Seed: 7,
+		}},
+		Strategy: "sP[opt](LRU)",
+		K:        4096,
+	}
+	start := time.Now()
+	resp := postJSON(t, ts.URL+"/v1/jobs", slow)
+	elapsed := time.Since(start)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504", resp.StatusCode)
+	}
+	if elapsed > 2*timeout {
+		t.Fatalf("504 after %v, want it within %v", elapsed, 2*timeout)
+	}
+	if v := s.metrics.timeouts.Load(); v != 1 {
+		t.Fatalf("timeouts = %d, want 1", v)
+	}
+	ok := JobRequest{Trace: TraceInput{Inline: testTrace()}, Strategy: "S(LRU)", K: 4, Tau: 1}
+	resp2 := postJSON(t, ts.URL+"/v1/jobs", ok)
+	defer resp2.Body.Close()
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("follow-up job status %d, want 200", resp2.StatusCode)
+	}
+}
+
 func TestGracefulDrainFinishesInFlightJobs(t *testing.T) {
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})

@@ -32,6 +32,7 @@
 package strategyspec
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -54,7 +55,7 @@ type familyRow struct {
 	// Portfolio(): the online pass and the offline tail.
 	portfolio        []string
 	portfolioOffline []string
-	build            func(pol string, rs core.RequestSet, k int, seed int64) (sim.Strategy, error)
+	build            func(ctx context.Context, pol string, rs core.RequestSet, k int, seed int64) (sim.Strategy, error)
 }
 
 // allPolicies is the policy set of the partitioned families.
@@ -72,7 +73,7 @@ var families = []familyRow{
 		policies:         sharedPolicies,
 		portfolio:        []string{"LRU", "FIFO", "CLOCK", "LFU", "MARK", "RMARK", "FWF", "ARC", "SLRU", "LRU2", "TINYLFU"},
 		portfolioOffline: []string{"FITF"},
-		build: func(pol string, _ core.RequestSet, _ int, seed int64) (sim.Strategy, error) {
+		build: func(_ context.Context, pol string, _ core.RequestSet, _ int, seed int64) (sim.Strategy, error) {
 			if pol == "FWF" {
 				return policy.NewFWF(), nil
 			}
@@ -88,7 +89,7 @@ var families = []familyRow{
 		desc:      "static partition, K split evenly across cores",
 		policies:  allPolicies,
 		portfolio: []string{"LRU"},
-		build: func(pol string, rs core.RequestSet, k int, seed int64) (sim.Strategy, error) {
+		build: func(_ context.Context, pol string, rs core.RequestSet, k int, seed int64) (sim.Strategy, error) {
 			mk, err := cache.NewFactory(pol, seed)
 			if err != nil {
 				return nil, err
@@ -102,16 +103,16 @@ var families = []familyRow{
 		policies:         allPolicies,
 		portfolio:        []string{"LRU"},
 		portfolioOffline: []string{"FITF"},
-		build: func(pol string, rs core.RequestSet, k int, seed int64) (sim.Strategy, error) {
+		build: func(ctx context.Context, pol string, rs core.RequestSet, k int, seed int64) (sim.Strategy, error) {
 			mk, err := cache.NewFactory(pol, seed)
 			if err != nil {
 				return nil, err
 			}
 			var part mattson.Partition
 			if pol == "FITF" {
-				part, err = mattson.OptimalOPT(rs, k)
+				part, err = mattson.OptimalOPT(ctx, rs, k)
 			} else {
-				part, err = mattson.OptimalLRU(rs, k)
+				part, err = mattson.OptimalLRU(ctx, rs, k)
 			}
 			if err != nil {
 				return nil, err
@@ -124,7 +125,7 @@ var families = []familyRow{
 		desc:      "dynamic partition, Lemma 3 global-LRU donor rule",
 		policies:  allPolicies,
 		portfolio: []string{"LRU"},
-		build: func(pol string, _ core.RequestSet, _ int, seed int64) (sim.Strategy, error) {
+		build: func(_ context.Context, pol string, _ core.RequestSet, _ int, seed int64) (sim.Strategy, error) {
 			mk, err := cache.NewFactory(pol, seed)
 			if err != nil {
 				return nil, err
@@ -137,7 +138,7 @@ var families = []familyRow{
 		desc:      "dynamic partition, FairShare fault-balancing controller",
 		policies:  allPolicies,
 		portfolio: []string{"LRU"},
-		build: func(pol string, _ core.RequestSet, _ int, seed int64) (sim.Strategy, error) {
+		build: func(_ context.Context, pol string, _ core.RequestSet, _ int, seed int64) (sim.Strategy, error) {
 			mk, err := cache.NewFactory(pol, seed)
 			if err != nil {
 				return nil, err
@@ -150,7 +151,7 @@ var families = []familyRow{
 		desc:      "dynamic partition, utility-based (UCP) controller",
 		policies:  allPolicies,
 		portfolio: []string{"LRU"},
-		build: func(pol string, _ core.RequestSet, _ int, seed int64) (sim.Strategy, error) {
+		build: func(_ context.Context, pol string, _ core.RequestSet, _ int, seed int64) (sim.Strategy, error) {
 			mk, err := cache.NewFactory(pol, seed)
 			if err != nil {
 				return nil, err
@@ -162,7 +163,7 @@ var families = []familyRow{
 		family:   "eP",
 		desc:     "elastic partition, global-LRU donor under K(t)",
 		policies: allPolicies,
-		build: func(pol string, _ core.RequestSet, _ int, seed int64) (sim.Strategy, error) {
+		build: func(_ context.Context, pol string, _ core.RequestSet, _ int, seed int64) (sim.Strategy, error) {
 			return buildElastic("eP[lru-global]", policy.GlobalLRUController(), pol, seed)
 		},
 	},
@@ -170,7 +171,7 @@ var families = []familyRow{
 		family:   "eP[even]",
 		desc:     "elastic partition, even split rescaled with K(t)",
 		policies: allPolicies,
-		build: func(pol string, rs core.RequestSet, k int, seed int64) (sim.Strategy, error) {
+		build: func(_ context.Context, pol string, rs core.RequestSet, k int, seed int64) (sim.Strategy, error) {
 			ctrl := policy.StaticController(policy.EvenSizes(k, rs.NumCores()))
 			return buildElastic("eP[even]", ctrl, pol, seed)
 		},
@@ -179,7 +180,7 @@ var families = []familyRow{
 		family:   "eP[fair]",
 		desc:     "elastic partition, FairShare quota rescaled with K(t)",
 		policies: allPolicies,
-		build: func(pol string, _ core.RequestSet, _ int, seed int64) (sim.Strategy, error) {
+		build: func(_ context.Context, pol string, _ core.RequestSet, _ int, seed int64) (sim.Strategy, error) {
 			return buildElastic("eP[fair]", policy.FairController(0), pol, seed)
 		},
 	},
@@ -187,7 +188,7 @@ var families = []familyRow{
 		family:   "eP[ucp]",
 		desc:     "elastic partition, UCP reallocation over K(t) cells",
 		policies: allPolicies,
-		build: func(pol string, _ core.RequestSet, _ int, seed int64) (sim.Strategy, error) {
+		build: func(_ context.Context, pol string, _ core.RequestSet, _ int, seed int64) (sim.Strategy, error) {
 			return buildElastic("eP[ucp]", policy.UCPController(0), pol, seed)
 		},
 	},
@@ -241,11 +242,17 @@ func FamilyNames() []string {
 	return out
 }
 
-// Build parses a spec and constructs the strategy for the given request
-// set and cache size. The request set is needed because sP[opt] computes
-// its partition from the workload's miss curves; seed drives RAND and
-// RMARK.
+// Build is BuildContext without a deadline.
 func Build(spec string, rs core.RequestSet, k int, seed int64) (sim.Strategy, error) {
+	//mcvet:ignore ctxflow Build is the documented synchronous wrapper: a caller without a ctx is its own cancellation root
+	return BuildContext(context.TODO(), spec, rs, k, seed)
+}
+
+// BuildContext parses a spec and constructs the strategy for the given
+// request set and cache size. The request set is needed because sP[opt]
+// computes its partition from the workload's miss curves, which stop
+// with ctx's error once ctx is done; seed drives RAND and RMARK.
+func BuildContext(ctx context.Context, spec string, rs core.RequestSet, k int, seed int64) (sim.Strategy, error) {
 	spec = strings.TrimSpace(spec)
 	open := strings.Index(spec, "(")
 	if open < 0 || !strings.HasSuffix(spec, ")") {
@@ -261,7 +268,7 @@ func Build(spec string, rs core.RequestSet, k int, seed int64) (sim.Strategy, er
 		return nil, fmt.Errorf("strategyspec: family %s does not accept policy %q (valid: %s)",
 			row.family, pol, strings.Join(row.policies(), ", "))
 	}
-	return row.build(pol, rs, k, seed)
+	return row.build(ctx, pol, rs, k, seed)
 }
 
 // Combo is one buildable strategy spec, with its family and policy

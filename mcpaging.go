@@ -35,6 +35,7 @@
 package mcpaging
 
 import (
+	"context"
 	"mcpaging/internal/cache"
 	"mcpaging/internal/core"
 	"mcpaging/internal/mattson"
@@ -150,13 +151,13 @@ type Partition = mattson.Partition
 // per-part LRU via Mattson stack distances and dynamic programming
 // (exact for disjoint request sets, any τ).
 func OptimalStaticLRU(r RequestSet, k int) (Partition, error) {
-	return mattson.OptimalLRU(r, k)
+	return mattson.OptimalLRU(context.TODO(), r, k)
 }
 
 // OptimalStaticOPT computes the fault-minimizing static partition for
 // per-part Belady eviction.
 func OptimalStaticOPT(r RequestSet, k int) (Partition, error) {
-	return mattson.OptimalOPT(r, k)
+	return mattson.OptimalOPT(context.TODO(), r, k)
 }
 
 // LRUMissCurve returns per-size LRU miss counts (index = cache size,

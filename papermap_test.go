@@ -182,13 +182,17 @@ var (
 	goName = regexp.MustCompile(`^[A-Za-z_]\w*(\.[A-Za-z_]\w*)*(\*|\{[\w,]*\})?$`)
 	// repoPath is a span naming a file or directory of the repository.
 	repoPath = regexp.MustCompile(`^[\w.-]+(/[\w.-]+)+$`)
+	// claimRow is a table row whose first cell names one of the paper's
+	// definitions, lemmas, theorems or algorithms.
+	claimRow = regexp.MustCompile(`^\|[^|]*\b(Definition|Lemma|Theorem|Algorithm) `)
 )
 
 // TestPaperMapNamesResolve keeps docs/paper-map.md from naming code
 // that is gone: every backticked path must exist, every Test name must
 // be a test function, and every other Go name (pkg.Name,
 // pkg.Type.Member, Type.Member or a bare Name) must resolve against the
-// module's source.
+// module's source. A row for a definition, lemma, theorem or algorithm
+// must also name at least one test that checks it.
 func TestPaperMapNamesResolve(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("docs", "paper-map.md"))
 	if err != nil {
@@ -197,6 +201,7 @@ func TestPaperMapNamesResolve(t *testing.T) {
 	idx := indexModule(t)
 	checked := 0
 	for i, line := range strings.Split(string(raw), "\n") {
+		tested := false
 		for _, m := range backticked.FindAllStringSubmatch(line, -1) {
 			name := m[1]
 			var ok bool
@@ -206,6 +211,7 @@ func TestPaperMapNamesResolve(t *testing.T) {
 				ok = err == nil
 			case strings.HasPrefix(name, "Test") && goName.MatchString(name):
 				ok = idx.tests[name]
+				tested = true
 			case goName.MatchString(name):
 				ok = idx.resolves(name)
 			default:
@@ -215,6 +221,9 @@ func TestPaperMapNamesResolve(t *testing.T) {
 			if !ok {
 				t.Errorf("docs/paper-map.md:%d: `%s` names nothing in the module", i+1, name)
 			}
+		}
+		if claimRow.MatchString(line) && !tested {
+			t.Errorf("docs/paper-map.md:%d: the row names no test of its claim", i+1)
 		}
 	}
 	if checked == 0 {
